@@ -218,12 +218,13 @@ func BenchmarkAblation_EarlyTermination(b *testing.B) {
 }
 
 // BenchmarkAblation_CheckpointForking measures the campaign's faulty-run
-// setup strategies: legacy per-run deep cloning of the checkpoint vs
-// copy-on-write forking with dirty-state reset, plus the cold-start
-// baseline (no checkpoint at all). The per-fault-setup sub-benchmarks
-// isolate the setup cost itself — the acceptance bar is CoW reset at least
-// 2x cheaper than a legacy clone — while the end-to-end ones include the
-// simulation so the whole-campaign effect is visible.
+// setup strategies: per-run deep cloning of the checkpoint (the clone
+// oracle of the fork-equivalence suite) vs copy-on-write forking with
+// dirty-state reset (the dispatch kernel), plus the cold-start baseline
+// (no checkpoint at all). The per-fault-setup sub-benchmarks isolate the
+// setup cost itself — the acceptance bar is CoW reset at least 2x cheaper
+// than a deep clone — while the end-to-end ones include the simulation so
+// the whole-campaign effect is visible.
 func BenchmarkAblation_CheckpointForking(b *testing.B) {
 	spec, err := workloads.ByName("rijndael")
 	if err != nil {
@@ -248,7 +249,7 @@ func BenchmarkAblation_CheckpointForking(b *testing.B) {
 		return base
 	}
 
-	b.Run("per-fault-setup/legacy-clone", func(b *testing.B) {
+	b.Run("per-fault-setup/deep-clone", func(b *testing.B) {
 		base := checkpoint(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -273,7 +274,7 @@ func BenchmarkAblation_CheckpointForking(b *testing.B) {
 		b.ReportMetric(float64(sets)/float64(b.N), "sets-restored/op")
 	})
 
-	b.Run("end-to-end/legacy-clone", func(b *testing.B) {
+	b.Run("end-to-end/deep-clone", func(b *testing.B) {
 		base := checkpoint(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -311,23 +312,35 @@ func BenchmarkAblation_CheckpointForking(b *testing.B) {
 	})
 }
 
-// BenchmarkAccelCampaign compares the accelerator campaign's faulty-run
-// strategies: the legacy serial rebuild-per-fault baseline vs the
-// fork/reset worker pool. Both draw the identical mask population (the
-// equivalence suite proves bit-identical verdicts), so the comparison is
-// pure setup/schedule cost.
+// BenchmarkAccelCampaign measures the accelerator campaign's fork/reset
+// worker pool on a 64-mask gemm population, serial and parallel, against
+// the cold-start baseline: 64 fault-free tasks, each on a harness built
+// from scratch — the per-fault setup cost fork/reset removes.
 func BenchmarkAccelCampaign(b *testing.B) {
 	spec, err := machsuite.ByName("gemm")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, workers int, legacy bool) {
+	b.Run("cold-start", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for f := 0; f < 64; f++ {
+				s, err := accel.NewStandalone(spec.Design, spec.Task)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Run(50_000_000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	run := func(b *testing.B, workers int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			res, err := accel.RunCampaign(accel.CampaignConfig{
 				Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
 				Model: core.Transient, Faults: 64, Seed: 13,
-				Workers: workers, LegacyRebuild: legacy,
+				Workers: workers,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -337,9 +350,8 @@ func BenchmarkAccelCampaign(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial-rebuild", func(b *testing.B) { run(b, 1, true) })
-	b.Run("serial-reuse", func(b *testing.B) { run(b, 1, false) })
-	b.Run("parallel-reuse", func(b *testing.B) { run(b, 0, false) })
+	b.Run("serial-reuse", func(b *testing.B) { run(b, 1) })
+	b.Run("parallel-reuse", func(b *testing.B) { run(b, 0) })
 }
 
 // BenchmarkCampaignLadder measures checkpoint-ladder dispatch on a

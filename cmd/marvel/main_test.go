@@ -91,6 +91,8 @@ func TestValidationExitsTwo(t *testing.T) {
 		{"sweep cpu grid without targets", []string{"sweep", "-isas", "riscv", "-faults", "2"}, "needs at least one ISA and one target"},
 		{"submit bad kind", []string{"submit", "-kind", "soc"}, "unknown -kind"},
 		{"watch without job", []string{"watch"}, "needs -job"},
+		{"campaign removed legacyclone", []string{"campaign", "-legacyclone", "-faults", "2"}, "flag provided but not defined: -legacyclone"},
+		{"accel removed legacyrebuild", []string{"accel", "-legacyrebuild", "-faults", "2"}, "flag provided but not defined: -legacyrebuild"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,15 +3,12 @@ package accel
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"marvel/internal/classify"
 	"marvel/internal/core"
-	"marvel/internal/metrics"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 )
 
@@ -37,8 +34,6 @@ type CampaignConfig struct {
 	// MinFaults floors the adaptive sample; MaxFaults caps it (0 = Faults).
 	MinFaults int
 	MaxFaults int
-	// BatchSize is the adaptive dispatch granularity; <= 0 picks 32.
-	BatchSize int
 	// WatchdogFactor bounds faulty tasks at factor × golden cycles.
 	WatchdogFactor float64
 	// WindowOverride, when non-zero, draws injection cycles from
@@ -52,12 +47,6 @@ type CampaignConfig struct {
 	// bit-identical for every worker count: each mask's coordinates derive
 	// purely from (Seed, mask index), never from the execution schedule.
 	Workers int
-	// LegacyRebuild forces the pre-fork strategy: a full harness rebuild
-	// (NewStandalone) per fault. The default (false) forks one
-	// copy-on-write harness per worker and rolls it back between masks,
-	// which is equivalent bit for bit and much cheaper per fault. Kept for
-	// A/B comparison.
-	LegacyRebuild bool
 	// LadderRungs selects the checkpoint ladder: besides the pristine
 	// not-yet-started harness, the fault-free task is snapshotted mid-run
 	// at LadderRungs evenly spaced cycles inside the injection window, and
@@ -66,8 +55,7 @@ type CampaignConfig struct {
 	// single pristine checkpoint. Verdicts are bit-identical for every
 	// value (flips apply inside Tick, so rungs stop strictly before the
 	// injection cycle); permanent faults always use the pristine base —
-	// stuck-at bits must corrupt DMA-in too — and LegacyRebuild, which
-	// rebuilds from scratch, ignores the ladder.
+	// stuck-at bits must corrupt DMA-in too.
 	LadderRungs int
 	// OnVerdict, when non-nil, observes every classified fault as it
 	// completes (sweep progress reporting). It may be called concurrently
@@ -189,33 +177,6 @@ type Record struct {
 	Verdict classify.Verdict
 }
 
-// ForkStats counts harness-forking activity over one accelerator campaign.
-// Workers fold their per-run counters in with atomic adds, so the struct
-// is race-free under any worker count; read it after the campaign returns.
-type ForkStats struct {
-	// Legacy reports that the campaign rebuilt a full harness per fault.
-	Legacy bool
-	// Forks is the number of harnesses created (one per worker in fork
-	// mode, one per faulty run in legacy mode).
-	Forks uint64
-	// ReuseHits counts faulty runs served by resetting an existing forked
-	// harness instead of building a new one.
-	ReuseHits uint64
-	// PagesCopied is the number of host-memory pages materialized by
-	// copy-on-write across all workers.
-	PagesCopied uint64
-	// Rungs is the number of mid-window checkpoint rungs the campaign had
-	// available beyond the pristine base (0 when the ladder was off).
-	Rungs int
-	// RungHits counts faulty runs dispatched from a mid-window rung
-	// instead of the pristine base.
-	RungHits uint64
-	// ReplayedCycles totals the pre-injection cycles each transient run
-	// had to replay between its fork point and its injection cycle; the
-	// ladder exists to shrink this.
-	ReplayedCycles uint64
-}
-
 // CampaignResult aggregates one accelerator campaign.
 type CampaignResult struct {
 	Target       string
@@ -225,38 +186,20 @@ type CampaignResult struct {
 	// Records holds the per-fault verdicts in mask order, independent of
 	// the execution schedule.
 	Records []Record
-	Counts  metrics.Counts
-	// Margin is the sampling error over the component's bit population
-	// for the achieved sample size, at quantile Z.
-	Margin float64
-	// Z is the confidence quantile margins were computed at.
-	Z float64
-	// Requested is the planned fault budget; len(Records) may be smaller
-	// when adaptive sizing stopped early. FaultsSaved is the difference
-	// and Batches how many dispatch batches ran.
-	Requested   int
-	FaultsSaved int
-	Batches     int
-	// AchievedMargin is the Wilson half-width of the final AVF estimate.
-	AchievedMargin float64
-	// Forking describes how faulty runs were set up.
-	Forking ForkStats
+	dispatch.Summary
 }
-
-// AVF returns the component's architectural vulnerability factor.
-func (r *CampaignResult) AVF() float64 { return r.Counts.AVF() }
 
 // RunCampaign executes the campaign. Accelerator tasks are short, so each
 // faulty run re-executes the whole task with a flip scheduled at a random
 // cycle of the task window — injections land during DMA-in, compute, or
 // DMA-out, exactly the full-task window the paper's DSE insight relies on.
 //
-// The campaign parallelizes like the CPU side (internal/campaign): mask
-// coordinates are derived per index via the shared splitmix64 scheme in
-// internal/core, masks fan out over a worker pool, and each worker forks
-// the pristine golden harness once, rolling it back between masks. Every
-// schedule — serial, one worker, N workers, rebuild-per-fault — produces
-// the same Records, Counts and AVF.
+// The campaign parallelizes like the CPU side, through the same
+// internal/dispatch kernel: mask coordinates are derived per index via the
+// shared splitmix64 scheme in internal/core, masks fan out over the
+// kernel's worker pool, and each worker forks the pristine golden harness
+// once, rolling it back between masks. Every worker count produces the
+// same Records, Counts and AVF.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	sp := cfg.Profile.NewLane("golden").Begin(obs.PhaseGolden)
 	g, err := PrepareGolden(cfg.Design, cfg.Task)
@@ -273,245 +216,116 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // ones g was prepared with; results are bit-identical to RunCampaign with
 // the same CampaignConfig.
 func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResult, error) {
-	if cfg.Faults <= 0 {
-		return nil, fmt.Errorf("accel: fault count must be positive, got %d", cfg.Faults)
+	if err := dispatch.ValidateSizing(cfg.Faults, cfg.LadderRungs, cfg.TargetMargin, cfg.Confidence, cfg.MinFaults, cfg.MaxFaults); err != nil {
+		return nil, fmt.Errorf("accel: %w", err)
 	}
-	if cfg.LadderRungs < 0 {
-		return nil, fmt.Errorf("accel: ladder rungs must be non-negative, got %d", cfg.LadderRungs)
-	}
-	if cfg.TargetMargin < 0 || cfg.TargetMargin >= 1 {
-		return nil, fmt.Errorf("accel: target margin must be in [0, 1), got %v", cfg.TargetMargin)
-	}
-	if cfg.Confidence < 0 {
-		return nil, fmt.Errorf("accel: confidence quantile must be non-negative, got %v", cfg.Confidence)
-	}
-	if cfg.MinFaults < 0 || cfg.MaxFaults < 0 {
-		return nil, fmt.Errorf("accel: min/max faults must be non-negative, got %d/%d", cfg.MinFaults, cfg.MaxFaults)
-	}
-	z := cfg.Confidence
-	if z <= 0 {
-		z = 1.96
-	}
-	adaptive := cfg.TargetMargin > 0
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	budget := cfg.Faults
-	if adaptive && cfg.MaxFaults > 0 {
-		budget = cfg.MaxFaults
-	}
-	minFaults := cfg.MinFaults
-	if minFaults > budget {
-		minFaults = budget
-	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 4
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > budget {
-		cfg.Workers = budget
-	}
-
-	base, goldenOut, goldenCycles := g.base, g.Output, g.Cycles
-	gb, err := base.Cluster.Bank(cfg.Target)
+	budget := dispatch.Budget(cfg.Faults, cfg.TargetMargin, cfg.MaxFaults)
+	in, err := g.injection(cfg)
 	if err != nil {
 		return nil, err
 	}
-	bankIdx := -1
-	for i, b := range base.Cluster.Banks() {
-		if b == gb {
-			bankIdx = i
-		}
-	}
-
-	window := goldenCycles
-	if cfg.WindowOverride > 0 {
-		window = cfg.WindowOverride
-	}
-	cycleBudget := uint64(float64(goldenCycles)*cfg.WatchdogFactor) + 5000
-
-	res := &CampaignResult{
-		Target:       cfg.Target,
-		GoldenCycles: goldenCycles,
-		GoldenOutput: goldenOut,
-		TargetBits:   gb.BitLen(),
-		Records:      make([]Record, budget),
-		Z:            z,
-		Requested:    budget,
-	}
-	res.Forking.Legacy = cfg.LegacyRebuild
 
 	// Derive the whole fault population up front: coordinates are a pure
 	// function of (Seed, index), so this costs a few splitmix64 draws per
 	// mask and lets the ladder sort dispatch order by injection cycle.
-	// [1, window+1) reproduces the historical "window w" population bit for
-	// bit (see core.DeriveFault).
 	faults := make([]core.Fault, budget)
 	for i := range faults {
-		faults[i] = core.DeriveFault(cfg.Seed, i, cfg.Target, cfg.Model, gb.BitLen(), 1, window+1)
+		faults[i] = in.fault(cfg, i)
 	}
 
 	// Checkpoint ladder: transient runs fork from the deepest rung strictly
 	// before their injection cycle (flips apply inside Tick, so a rung at
 	// exactly the injection cycle would skip the application tick).
 	// Permanent models keep the pristine base — stuck-ats must corrupt
-	// DMA-in — and legacy rebuilds cannot start from a snapshot.
-	rungs := []accelRung{{sys: base, cycle: 0}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() && !cfg.LegacyRebuild {
+	// DMA-in.
+	rungs := []accelRung{{sys: g.base, cycle: 0}}
+	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
 		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		rungs = g.ladder(cfg.LadderRungs, window)
+		rungs = g.ladder(cfg.LadderRungs, in.window)
 		sp.End()
 	}
-	res.Forking.Rungs = len(rungs) - 1
 	rungOf := make([]int, budget)
-	if len(rungs) > 1 {
-		for i, f := range faults {
-			for ri := 1; ri < len(rungs) && rungs[ri].cycle < f.Cycle; ri++ {
-				rungOf[i] = ri
-			}
+	replay := make([]uint64, budget)
+	for i, f := range faults {
+		for ri := 1; ri < len(rungs) && rungs[ri].cycle < f.Cycle; ri++ {
+			rungOf[i] = ri
+		}
+		if from := rungs[rungOf[i]].cycle; !f.Model.Permanent() && f.Cycle > from {
+			replay[i] = f.Cycle - from
 		}
 	}
 
-	var statsMu sync.Mutex
-	var firstErr error
-	var failed atomic.Bool
-	var wg sync.WaitGroup      // worker lifetimes
-	var pending sync.WaitGroup // in-flight faults of the current batch
-	work := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lane *obs.Lane
-			if cfg.Profile != nil {
-				lane = cfg.Profile.NewLane("worker-" + strconv.Itoa(w))
-			}
-			var scratch *Standalone
-			scratchRung := -1
-			var forks, reuses, rungHits, replayed uint64
-			var wErr error
-			process := func(i int) {
-				if wErr != nil {
-					return // drain the queue after a setup failure
-				}
-				r := rungOf[i]
-				var s *Standalone
-				if cfg.LegacyRebuild {
-					sp := lane.BeginID(obs.PhaseFork, int64(i))
-					s, wErr = NewStandalone(cfg.Design, cfg.Task)
-					sp.End()
-					if wErr != nil {
-						statsMu.Lock()
-						if firstErr == nil {
-							firstErr = wErr
-						}
-						statsMu.Unlock()
-						failed.Store(true)
-						return
-					}
-					forks++
-				} else if scratch == nil || scratchRung != r {
-					sp := lane.BeginID(obs.PhaseFork, int64(i))
-					if scratch != nil {
-						atomic.AddUint64(&res.Forking.PagesCopied, scratch.ForkPagesCopied())
-					}
-					scratch = rungs[r].sys.Fork()
-					scratchRung = r
-					s = scratch
-					sp.End()
-					forks++
-				} else {
-					sp := lane.BeginID(obs.PhaseReset, int64(i))
-					scratch.Reset()
-					s = scratch
-					sp.End()
-					reuses++
-				}
-				f := faults[i]
-				if r > 0 {
-					rungHits++
-				}
-				if !f.Model.Permanent() && f.Cycle > rungs[r].cycle {
-					replayed += f.Cycle - rungs[r].cycle
-				}
-				res.Records[i] = Record{Fault: f, Verdict: runFaulty(s, bankIdx, f, cycleBudget, goldenOut, cfg.Trace, lane, int64(i))}
-				if cfg.OnVerdict != nil {
-					cfg.OnVerdict(i, res.Records[i].Verdict)
-				}
-			}
-			for i := range work {
-				process(i)
-				pending.Done()
-			}
-			atomic.AddUint64(&res.Forking.Forks, forks)
-			atomic.AddUint64(&res.Forking.ReuseHits, reuses)
-			atomic.AddUint64(&res.Forking.RungHits, rungHits)
-			atomic.AddUint64(&res.Forking.ReplayedCycles, replayed)
-			if scratch != nil {
-				atomic.AddUint64(&res.Forking.PagesCopied, scratch.ForkPagesCopied())
-			}
-		}()
+	verdicts, sum, err := dispatch.Run(dispatch.Plan[*Standalone]{
+		N:            budget,
+		Bits:         in.bits,
+		Workers:      cfg.Workers,
+		TargetMargin: cfg.TargetMargin,
+		MinFaults:    cfg.MinFaults,
+		Z:            dispatch.Quantile(cfg.Confidence),
+		Rungs:        len(rungs) - 1,
+		Fork:         func(r int) *Standalone { return rungs[r].sys.Fork() },
+		RungOf:       rungOf,
+		Replay:       replay,
+		Run: func(s *Standalone, i int, lane *obs.Lane) (classify.Verdict, error) {
+			return runFaulty(s, in.bankIdx, faults[i], in.cycleBudget, g.Output, cfg.Trace, lane, int64(i)), nil
+		},
+		OnVerdict: cfg.OnVerdict,
+		Profile:   cfg.Profile,
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Batched dispatch, mirroring campaign.RunWithGolden: contiguous
-	// index ranges keep the executed set a stream prefix [0, done); rung
-	// sorting applies inside each batch only.
-	done := 0
-	for done < budget {
-		hi := budget
-		if adaptive && done+batchSize < hi {
-			hi = done + batchSize
-		}
-		batch := make([]int, hi-done)
-		for j := range batch {
-			batch[j] = done + j
-		}
-		if len(rungs) > 1 {
-			sort.SliceStable(batch, func(a, b int) bool { return rungOf[batch[a]] < rungOf[batch[b]] })
-		}
-		pending.Add(len(batch))
-		for _, i := range batch {
-			work <- i
-		}
-		pending.Wait()
-		done = hi
-		res.Batches++
-		if failed.Load() {
-			break
-		}
-		if adaptive && done >= minFaults && done < budget {
-			var c metrics.Counts
-			for _, r := range res.Records[:done] {
-				c.Add(r.Verdict)
-			}
-			if metrics.Confidence(c.AVF(), done, z).Half() <= cfg.TargetMargin {
-				break
-			}
-		}
+	res := &CampaignResult{
+		Target:       cfg.Target,
+		GoldenCycles: g.Cycles,
+		GoldenOutput: g.Output,
+		TargetBits:   in.bits,
+		Records:      make([]Record, len(verdicts)),
+		Summary:      sum,
 	}
-	close(work)
-	wg.Wait()
-	// Infrastructure failures abort the campaign instead of polluting the
-	// AVF as fake crashes.
-	if firstErr != nil {
-		return nil, fmt.Errorf("accel: faulty-run setup: %w", firstErr)
+	for i, v := range verdicts {
+		res.Records[i] = Record{Fault: faults[i], Verdict: v}
 	}
-
-	res.Records = res.Records[:done]
-	res.FaultsSaved = res.Requested - done
-	res.Margin = core.MarginFor(gb.BitLen(), done, z)
-	for _, r := range res.Records {
-		res.Counts.Add(r.Verdict)
-	}
-	res.AchievedMargin = metrics.Confidence(res.Counts.AVF(), done, z).Half()
 	return res, nil
 }
 
+// injection is what every faulty run of one campaign shares: the target
+// bank, its bit population, the window injection cycles are drawn from and
+// the watchdog's cycle budget.
+type injection struct {
+	bankIdx     int
+	bits        uint64
+	window      uint64
+	cycleBudget uint64
+}
+
+// injection resolves cfg's target and windows against the golden run.
+func (g *CampaignGolden) injection(cfg CampaignConfig) (injection, error) {
+	gb, err := g.base.Cluster.Bank(cfg.Target)
+	if err != nil {
+		return injection{}, err
+	}
+	in := injection{bankIdx: slices.Index(g.base.Cluster.Banks(), gb), bits: gb.BitLen(), window: g.Cycles}
+	if cfg.WindowOverride > 0 {
+		in.window = cfg.WindowOverride
+	}
+	factor := cfg.WatchdogFactor
+	if factor <= 1 {
+		factor = 4
+	}
+	in.cycleBudget = uint64(float64(g.Cycles)*factor) + 5000
+	return in, nil
+}
+
+// fault derives campaign fault i. [1, window+1) reproduces the historical
+// "window w" population bit for bit (see core.DeriveFault).
+func (in injection) fault(cfg CampaignConfig, i int) core.Fault {
+	return core.DeriveFault(cfg.Seed, i, cfg.Target, cfg.Model, in.bits, 1, in.window+1)
+}
+
 // runFaulty drives one faulty task on s — a pristine harness (a fresh
-// rebuild, a fresh fork, or a reset fork; all three are state-identical) —
+// build, a fresh fork, or a reset fork; all three are state-identical) —
 // applies the fault, runs under the watchdog budget and classifies. When a
 // tracer is armed the cluster reports flips and phase transitions and this
 // driver brackets the run with arming and verdict events; a nil tracer

@@ -196,27 +196,26 @@ func TestStandaloneForkResetEquivalence(t *testing.T) {
 	if fk.Cluster.TaskCycles() != g.Cluster.TaskCycles() {
 		t.Fatalf("reset fork took %d cycles, golden %d", fk.Cluster.TaskCycles(), g.Cluster.TaskCycles())
 	}
-	if fk.ForkPagesCopied() == 0 {
+	if pages, _ := fk.ForkCounters(); pages == 0 {
 		t.Fatal("dirty runs should have materialized CoW pages")
 	}
 }
 
 // TestAccelCampaignWorkerInvariance: per-fault verdicts and counters must
-// not depend on the worker count or the forking strategy (small in-package
-// version of the machsuite-wide equivalence suite).
+// not depend on the worker count, and must match the serial rebuild oracle
+// (small in-package version of the machsuite-wide equivalence suite).
 func TestAccelCampaignWorkerInvariance(t *testing.T) {
 	d := testDesign(t, DefaultFUs())
 	task := testTask()
-	ref, err := RunCampaign(CampaignConfig{
+	ref, err := RunRebuildOracle(CampaignConfig{
 		Design: d, Task: task, Target: "IN",
 		Model: core.Transient, Faults: 40, Seed: 12,
-		Workers: 1, LegacyRebuild: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Forking.Forks != 40 || ref.Forking.ReuseHits != 0 || !ref.Forking.Legacy {
-		t.Fatalf("legacy forking stats wrong: %+v", ref.Forking)
+	if ref.Forking.Forks != 40 || ref.Forking.ReuseHits != 0 {
+		t.Fatalf("rebuild oracle forking stats wrong: %+v", ref.Forking)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		got, err := RunCampaign(CampaignConfig{

@@ -1,9 +1,9 @@
 // Differential equivalence suite for the accelerator campaign engine: the
-// serial rebuild-per-fault baseline, the 1-worker fork/reset path and the
-// 8-worker fork/reset path must produce bit-identical per-fault verdict
-// sequences and AVF numbers for every Table IV design/component and both
-// fault-model families — the accelerator counterpart of the CPU side's
-// fork_equiv_test.
+// serial rebuild-per-fault oracle, and the dispatch kernel's 1-worker,
+// 8-worker and laddered fork/reset schedules, must produce bit-identical
+// per-fault verdict sequences and AVF numbers for every Table IV
+// design/component and both fault-model families — the accelerator
+// counterpart of the CPU side's fork_equiv_test.
 package accel_test
 
 import (
@@ -15,20 +15,33 @@ import (
 	"marvel/internal/machsuite"
 )
 
-// variants are the execution schedules that must all agree.
+// variants are the kernel schedules that must all agree with the serial
+// rebuild oracle. The laddered one forks transient runs from mid-task
+// rungs, so the oracle — which always starts from a fresh harness — also
+// proves the ladder never changes a verdict.
 var variants = []struct {
 	name    string
 	workers int
-	legacy  bool
+	ladder  int
 }{
-	{"serial-rebuild", 1, true},
-	{"fork-reset-1w", 1, false},
-	{"fork-reset-8w", 8, false},
+	{"fork-reset-1w", 1, 0},
+	{"fork-reset-8w", 8, 0},
+	{"fork-reset-ladder8", 1, 8},
 }
 
 func mustRun(t *testing.T, cfg accel.CampaignConfig) *accel.CampaignResult {
 	t.Helper()
 	res, err := accel.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustRebuild runs cfg through the serial rebuild-per-fault oracle.
+func mustRebuild(t *testing.T, cfg accel.CampaignConfig) *accel.CampaignResult {
+	t.Helper()
+	res, err := accel.RunRebuildOracle(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +70,7 @@ func assertEqualResults(t *testing.T, label string, ref, got *accel.CampaignResu
 }
 
 // TestAccelCampaignEquivalence sweeps every design × component × model and
-// checks all schedules agree with the serial baseline.
+// checks all schedules agree with the serial rebuild oracle.
 func TestAccelCampaignEquivalence(t *testing.T) {
 	const faults = 5
 	for _, spec := range machsuite.All() {
@@ -68,15 +81,13 @@ func TestAccelCampaignEquivalence(t *testing.T) {
 					Model: model, Faults: faults, Seed: 77,
 				}
 				label := fmt.Sprintf("%s/%s/%s", spec.Name, comp.Name, model)
-				refCfg := cfg
-				refCfg.Workers, refCfg.LegacyRebuild = variants[0].workers, variants[0].legacy
-				ref := mustRun(t, refCfg)
+				ref := mustRebuild(t, cfg)
 				if ref.Counts.Total() != faults {
 					t.Fatalf("%s: classified %d of %d", label, ref.Counts.Total(), faults)
 				}
-				for _, v := range variants[1:] {
+				for _, v := range variants {
 					c := cfg
-					c.Workers, c.LegacyRebuild = v.workers, v.legacy
+					c.Workers, c.LadderRungs = v.workers, v.ladder
 					assertEqualResults(t, label+"/"+v.name, ref, mustRun(t, c))
 				}
 			}
@@ -95,12 +106,10 @@ func TestAccelCampaignEquivalenceStuckAt0(t *testing.T) {
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
 		Model: core.StuckAt0, Faults: 8, Seed: 5,
 	}
-	refCfg := cfg
-	refCfg.Workers, refCfg.LegacyRebuild = 1, true
-	ref := mustRun(t, refCfg)
-	for _, v := range variants[1:] {
+	ref := mustRebuild(t, cfg)
+	for _, v := range variants {
 		c := cfg
-		c.Workers, c.LegacyRebuild = v.workers, v.legacy
+		c.Workers, c.LadderRungs = v.workers, v.ladder
 		assertEqualResults(t, "gemm/MATRIX1/stuck-at-0/"+v.name, ref, mustRun(t, c))
 	}
 }
@@ -124,17 +133,15 @@ func TestAccelCampaignWindowOverrideEquivalence(t *testing.T) {
 			Model: core.Transient, Faults: 8, Seed: 21,
 			WindowOverride: window,
 		}
-		refCfg := cfg
-		refCfg.Workers, refCfg.LegacyRebuild = 1, true
-		ref := mustRun(t, refCfg)
+		ref := mustRebuild(t, cfg)
 		for _, r := range ref.Records {
 			if r.Fault.Cycle < 1 || r.Fault.Cycle > window {
 				t.Fatalf("window=%d: drawn cycle %d outside [1, %d]", window, r.Fault.Cycle, window)
 			}
 		}
-		for _, v := range variants[1:] {
+		for _, v := range variants {
 			c := cfg
-			c.Workers, c.LegacyRebuild = v.workers, v.legacy
+			c.Workers, c.LadderRungs = v.workers, v.ladder
 			assertEqualResults(t, fmt.Sprintf("gemm/window=%d/%s", window, v.name), ref, mustRun(t, c))
 		}
 	}
@@ -153,9 +160,9 @@ func TestAccelMaskPopulationWindowIndependentOfSchedule(t *testing.T) {
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
 		Model: core.Transient, Faults: 32, Seed: 9, Workers: 7,
 	})
-	b := mustRun(t, accel.CampaignConfig{
+	b := mustRebuild(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
-		Model: core.Transient, Faults: 32, Seed: 9, Workers: 2, LegacyRebuild: true,
+		Model: core.Transient, Faults: 32, Seed: 9,
 	})
 	for i := range a.Records {
 		if a.Records[i].Fault != b.Records[i].Fault {

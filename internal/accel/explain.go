@@ -41,36 +41,20 @@ func Explain(cfg CampaignConfig, index int) (*Explanation, error) {
 // ExplainWithGolden is Explain against an already-prepared golden
 // reference.
 func ExplainWithGolden(cfg CampaignConfig, g *CampaignGolden, index int) (*Explanation, error) {
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 4
-	}
-	gb, err := g.base.Cluster.Bank(cfg.Target)
+	in, err := g.injection(cfg)
 	if err != nil {
 		return nil, err
 	}
-	bankIdx := -1
-	for i, b := range g.base.Cluster.Banks() {
-		if b == gb {
-			bankIdx = i
-		}
-	}
-	window := g.Cycles
-	if cfg.WindowOverride > 0 {
-		window = cfg.WindowOverride
-	}
-	budget := uint64(float64(g.Cycles)*cfg.WatchdogFactor) + 5000
-
-	f := core.DeriveFault(cfg.Seed, index, cfg.Target, cfg.Model, gb.BitLen(), 1, window+1)
+	f := in.fault(cfg, index)
 	sink := obs.NewRingSink(512)
-	s := g.base.Fork()
-	v := runFaulty(s, bankIdx, f, budget, g.Output, sink, nil, 0)
+	v := runFaulty(g.base.Fork(), in.bankIdx, f, in.cycleBudget, g.Output, sink, nil, 0)
 	return &Explanation{
 		Index:        index,
 		Fault:        f,
 		Verdict:      v,
 		GoldenCycles: g.Cycles,
-		TargetBits:   gb.BitLen(),
-		Window:       window,
+		TargetBits:   in.bits,
+		Window:       in.window,
 		Events:       sink.Events(),
 	}, nil
 }

@@ -99,30 +99,6 @@ func TestAccelLadderEquivalenceWindowOverride(t *testing.T) {
 	}
 }
 
-// TestAccelLadderLegacyRebuildIgnoresLadder: the serial rebuild baseline
-// reconstructs each run from scratch and must not be perturbed by a
-// ladder setting (it reports zero rungs and rung hits).
-func TestAccelLadderLegacyRebuildIgnoresLadder(t *testing.T) {
-	spec, err := machsuite.ByName("fft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := accel.CampaignConfig{
-		Design: spec.Design, Task: spec.Task, Target: "REAL",
-		Model: core.Transient, Faults: 8, Seed: 9, Workers: 1,
-	}
-	legacy := cfg
-	legacy.LegacyRebuild = true
-	legacy.LadderRungs = 8
-	got := mustRun(t, legacy)
-	ref := mustRun(t, cfg)
-	assertEqualResults(t, "legacy-with-ladder", ref, got)
-	if got.Forking.Rungs != 0 || got.Forking.RungHits != 0 {
-		t.Errorf("legacy rebuild reported ladder stats: %d rungs, %d hits",
-			got.Forking.Rungs, got.Forking.RungHits)
-	}
-}
-
 // TestAccelLadderForkStatsAccounting: the ladder must actually be used
 // (rung hits > 0) and must reduce replayed pre-injection cycles versus
 // the flat campaign, with every fault accounted a fork or a reuse.

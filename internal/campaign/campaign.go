@@ -9,18 +9,15 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
 	"marvel/internal/cpu"
-	"marvel/internal/metrics"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 	"marvel/internal/program"
 	"marvel/internal/soc"
@@ -92,10 +89,6 @@ type Config struct {
 	// MaxFaults caps the adaptive sample; 0 means Faults is the cap.
 	// Ignored when TargetMargin is 0.
 	MaxFaults int
-	// BatchSize is the adaptive dispatch granularity (the stop condition
-	// is evaluated at batch boundaries); <= 0 picks 32. The batch size
-	// never changes verdicts, only how often the campaign may stop.
-	BatchSize int
 
 	Workers int
 	// HVF enables commit-trace comparison alongside AVF classification
@@ -107,12 +100,6 @@ type Config struct {
 	// WatchdogFactor bounds faulty runs at factor × golden cycles;
 	// expiry classifies as Crash. Default 3.
 	WatchdogFactor float64
-	// LegacyClone forces the pre-CoW forking strategy: one full deep copy
-	// of the checkpoint per faulty run. The default (false) forks one
-	// copy-on-write scratch system per worker and rolls it back between
-	// masks, which is equivalent bit for bit and an order of magnitude
-	// cheaper per fault. Kept for A/B comparison.
-	LegacyClone bool
 	// LadderRungs selects the checkpoint ladder: besides the window-start
 	// checkpoint, the golden system is snapshotted at LadderRungs evenly
 	// spaced cycles inside the injection window, masks are dispatched in
@@ -148,37 +135,6 @@ type Config struct {
 	Profile *obs.Profiler
 }
 
-// ForkStats counts checkpoint-forking activity over one campaign. Workers
-// fold their per-run counters in with atomic adds, so the struct is
-// race-free under any worker count; read it after the campaign returns.
-type ForkStats struct {
-	// Legacy reports that the campaign ran with full per-run deep clones.
-	Legacy bool
-	// Forks is the number of scratch systems created (one per worker in
-	// CoW mode, one per faulty run in legacy mode).
-	Forks uint64
-	// ReuseHits counts faulty runs served by resetting an existing scratch
-	// system instead of building a new one.
-	ReuseHits uint64
-	// PagesCopied is the number of main-memory pages materialized by
-	// copy-on-write across all workers.
-	PagesCopied uint64
-	// CacheSetsRestored is the number of cache sets rolled back to the
-	// golden snapshot by scratch resets across all workers.
-	CacheSetsRestored uint64
-	// Rungs is the number of mid-window ladder checkpoints the campaign
-	// had available (0 when the ladder is off).
-	Rungs int
-	// RungHits counts faulty runs forked from a mid-window rung instead of
-	// the window-start checkpoint.
-	RungHits uint64
-	// ReplayedCycles totals the pre-injection cycles scheduled between
-	// each run's fork point and its first transient injection — the
-	// quantity the ladder exists to shrink. Without a ladder this is the
-	// full window prefix of every transient mask.
-	ReplayedCycles uint64
-}
-
 // GoldenInfo describes the fault-free reference run.
 type GoldenInfo struct {
 	Cycles   uint64
@@ -195,36 +151,17 @@ type Record struct {
 	Verdict classify.Verdict
 }
 
-// Result aggregates one campaign.
+// Result aggregates one campaign: the executed records in mask order,
+// plus the kernel's summary (counts, margins, sizing and fork stats; its
+// Counts also fold the HVF view when Config.HVF is set).
 type Result struct {
 	Target     string
 	Model      core.Model
 	Golden     GoldenInfo
 	TargetBits uint64
 	Records    []Record
-	Counts     metrics.Counts
-	// Margin is the Leveugle et al. sampling error over the target's bit
-	// population for the achieved sample size, at quantile Z.
-	Margin float64
-	// Z is the confidence quantile the margins were actually computed
-	// at (Config.Confidence, defaulted).
-	Z float64
-	// Requested is the planned fault budget. len(Records) may be smaller
-	// when adaptive sizing stopped early; FaultsSaved is the difference.
-	Requested   int
-	FaultsSaved int
-	// Batches is how many dispatch batches ran (1 for a fixed campaign).
-	Batches int
-	// AchievedMargin is the Wilson half-width of the final AVF estimate
-	// at quantile Z — the quantity adaptive sizing drives down to
-	// Config.TargetMargin.
-	AchievedMargin float64
-	// Forking describes how faulty runs were forked from the checkpoint.
-	Forking ForkStats
+	dispatch.Summary
 }
-
-// AVF returns the campaign's architectural vulnerability factor.
-func (r *Result) AVF() float64 { return r.Counts.AVF() }
 
 // Golden bundles everything the fault-free phase of a campaign produces:
 // the reference info, the frozen checkpoint snapshot faulty runs fork
@@ -367,53 +304,17 @@ func Run(cfg Config) (*Result, error) {
 // cache). cfg.Image and cfg.Preset must match the ones g was prepared
 // with; results are bit-identical to Run with the same Config.
 func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
+	if err := dispatch.ValidateSizing(cfg.Faults, cfg.LadderRungs, cfg.TargetMargin, cfg.Confidence, cfg.MinFaults, cfg.MaxFaults); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("campaign: no workload image")
-	}
-	if cfg.Faults <= 0 {
-		return nil, fmt.Errorf("campaign: fault count must be positive")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.WatchdogFactor <= 1 {
 		cfg.WatchdogFactor = 3
 	}
-	if cfg.LadderRungs < 0 {
-		return nil, fmt.Errorf("campaign: ladder rungs must be non-negative, got %d", cfg.LadderRungs)
-	}
-	if cfg.TargetMargin < 0 || cfg.TargetMargin >= 1 {
-		return nil, fmt.Errorf("campaign: target margin must be in [0, 1), got %v", cfg.TargetMargin)
-	}
-	if cfg.Confidence < 0 {
-		return nil, fmt.Errorf("campaign: confidence quantile must be non-negative, got %v", cfg.Confidence)
-	}
-	if cfg.MinFaults < 0 || cfg.MaxFaults < 0 {
-		return nil, fmt.Errorf("campaign: min/max faults must be non-negative, got %d/%d", cfg.MinFaults, cfg.MaxFaults)
-	}
-	z := cfg.Confidence
-	if z <= 0 {
-		z = 1.96
-	}
-	adaptive := cfg.TargetMargin > 0
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	// The budget is the fixed-campaign fault count: the adaptive run draws
-	// its masks from the first `budget` entries of the same stream, so an
-	// early stop at N leaves exactly the fixed run's first N records.
-	budget := cfg.Faults
-	if adaptive && cfg.MaxFaults > 0 {
-		budget = cfg.MaxFaults
-	}
-	minFaults := cfg.MinFaults
-	if minFaults > budget {
-		minFaults = budget
-	}
-
+	budget := dispatch.Budget(cfg.Faults, cfg.TargetMargin, cfg.MaxFaults)
 	golden, base := &g.Info, g.base
-	goldenTrace, commitsAtCkpt := g.trace, g.commitsAtCkpt
 
 	// Generate the whole budget up front: mask i depends only on (Seed, i,
 	// target geometry), so the population is identical whether or not the
@@ -421,6 +322,63 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	maskCfg := cfg
 	maskCfg.Faults = budget
 	masks, bits, err := buildMasks(maskCfg, base, golden)
+	if err != nil {
+		return nil, err
+	}
+
+	// The checkpoint ladder: rung 0 is the window-start checkpoint;
+	// mid-window rungs (when enabled and the model has transients) let a
+	// run fork closer to its injection cycle. rungOf[i] is the rung mask i
+	// forks from, replay[i] the cycles it replays before its first flip.
+	rungs := []rung{{sys: base, cycle: base.CPU.Cycle(), commits: g.commitsAtCkpt}}
+	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
+		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
+		rungs = g.ladder(cfg.LadderRungs)
+		sp.End()
+	}
+	rungOf := make([]int, len(masks))
+	replay := make([]uint64, len(masks))
+	for i, m := range masks {
+		r := rungFor(rungs, m)
+		rungOf[i] = r
+		if first, ok := firstTransientCycle(m); ok && first > rungs[r].cycle {
+			replay[i] = first - rungs[r].cycle
+		}
+	}
+
+	// Per-rung golden-trace views for the HVF comparator: a run forked at
+	// rung r compares against the golden commits from that rung onward and
+	// reports divergence indices offset back to the window-start view, so
+	// DivergeCommit is identical whichever rung served the run.
+	subTraces := make([]*trace.Golden, len(rungs))
+	if cfg.HVF {
+		for ri, r := range rungs {
+			subTraces[ri] = g.trace.Slice(r.commits)
+		}
+	}
+	armCycle := rungs[0].cycle
+
+	verdicts, sum, err := dispatch.Run(dispatch.Plan[*soc.System]{
+		N:            len(masks),
+		Bits:         bits,
+		Workers:      cfg.Workers,
+		TargetMargin: cfg.TargetMargin,
+		MinFaults:    cfg.MinFaults,
+		Z:            dispatch.Quantile(cfg.Confidence),
+		Rungs:        len(rungs) - 1,
+		Fork:         func(r int) *soc.System { return rungs[r].sys.Fork() },
+		RungOf:       rungOf,
+		Replay:       replay,
+		Run: func(s *soc.System, i int, lane *obs.Lane) (classify.Verdict, error) {
+			r := rungOf[i]
+			return runOne(cfg, s, golden, subTraces[r], rungs[r].commits-g.commitsAtCkpt, armCycle, masks[i], lane)
+		},
+		OnVerdict: cfg.OnVerdict,
+		Profile:   cfg.Profile,
+	})
+	// A run that cannot even resolve its injection target is an
+	// infrastructure failure, not a hardware fault effect: abort instead of
+	// inflating the AVF with fake crashes.
 	if err != nil {
 		return nil, err
 	}
@@ -434,198 +392,17 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 		Model:      cfg.Model,
 		Golden:     *golden,
 		TargetBits: bits,
-		Records:    make([]Record, len(masks)),
-		Z:          z,
-		Requested:  budget,
+		Records:    make([]Record, len(verdicts)),
+		Summary:    sum,
 	}
-
-	// The checkpoint ladder: rung 0 is the window-start checkpoint;
-	// mid-window rungs (when enabled and the model has transients) let a
-	// run fork closer to its injection cycle. rungOf[i] is the rung mask i
-	// forks from.
-	rungs := []rung{{sys: base, cycle: base.CPU.Cycle(), commits: commitsAtCkpt}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
-		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		rungs = g.ladder(cfg.LadderRungs)
-		sp.End()
-	}
-	res.Forking.Rungs = len(rungs) - 1
-	rungOf := make([]int, len(masks))
-	if len(rungs) > 1 {
-		for i := range masks {
-			rungOf[i] = rungFor(rungs, masks[i])
-		}
-	}
-
-	// Per-rung golden-trace views for the HVF comparator: a run forked at
-	// rung r compares against the golden commits from that rung onward and
-	// reports divergence indices offset back to the window-start view, so
-	// DivergeCommit is identical whichever rung served the run.
-	subTraces := make([]*trace.Golden, len(rungs))
-	if cfg.HVF {
-		for ri, r := range rungs {
-			subTraces[ri] = goldenTrace.Slice(r.commits)
-		}
-	}
-	armCycle := rungs[0].cycle
-
-	res.Forking.Legacy = cfg.LegacyClone
-	var statsMu sync.Mutex
-	var firstErr error
-	// failed mirrors firstErr != nil for the dispatcher's between-batch
-	// check without taking statsMu on every worker iteration.
-	var failed atomic.Bool
-	var wg sync.WaitGroup      // worker goroutine lifetimes
-	var pending sync.WaitGroup // in-flight masks of the current batch
-	work := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker forks one copy-on-write scratch system from its
-			// current rung and rolls it back between masks, re-forking when
-			// the dispatch order moves it to a different rung; legacy mode
-			// instead deep-clones the rung snapshot for every mask.
-			var lane *obs.Lane
-			if cfg.Profile != nil {
-				lane = cfg.Profile.NewLane("worker-" + strconv.Itoa(w))
-			}
-			var scratch *soc.System
-			scratchRung := -1
-			var forks, reuses, rungHits, replayed uint64
-			var wErr error
-			process := func(i int) {
-				if wErr != nil {
-					return // drain the queue after an infrastructure failure
-				}
-				r := rungOf[i]
-				id := int64(masks[i].ID)
-				var s *soc.System
-				if cfg.LegacyClone {
-					sp := lane.BeginID(obs.PhaseFork, id)
-					s = rungs[r].sys.Clone()
-					sp.End()
-					forks++
-				} else if scratch == nil || scratchRung != r {
-					sp := lane.BeginID(obs.PhaseFork, id)
-					if scratch != nil {
-						pages, sets := scratch.ForkCounters()
-						atomic.AddUint64(&res.Forking.PagesCopied, pages)
-						atomic.AddUint64(&res.Forking.CacheSetsRestored, sets)
-					}
-					scratch = rungs[r].sys.Fork()
-					scratchRung = r
-					s = scratch
-					sp.End()
-					forks++
-				} else {
-					sp := lane.BeginID(obs.PhaseReset, id)
-					scratch.Reset()
-					s = scratch
-					sp.End()
-					reuses++
-				}
-				if r > 0 {
-					rungHits++
-				}
-				if first, ok := firstTransientCycle(masks[i]); ok && first > rungs[r].cycle {
-					replayed += first - rungs[r].cycle
-				}
-				var v classify.Verdict
-				v, wErr = runOne(cfg, s, golden, subTraces[r], rungs[r].commits-commitsAtCkpt, armCycle, masks[i], lane)
-				if wErr != nil {
-					// Record the failure immediately: the dispatcher checks it
-					// between batches, not only after all workers exit.
-					statsMu.Lock()
-					if firstErr == nil {
-						firstErr = wErr
-					}
-					statsMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				res.Records[i] = Record{Mask: masks[i], Verdict: v}
-				if cfg.OnVerdict != nil {
-					cfg.OnVerdict(i, v)
-				}
-			}
-			for i := range work {
-				process(i)
-				pending.Done()
-			}
-			atomic.AddUint64(&res.Forking.Forks, forks)
-			atomic.AddUint64(&res.Forking.ReuseHits, reuses)
-			atomic.AddUint64(&res.Forking.RungHits, rungHits)
-			atomic.AddUint64(&res.Forking.ReplayedCycles, replayed)
-			if scratch != nil {
-				pages, sets := scratch.ForkCounters()
-				atomic.AddUint64(&res.Forking.PagesCopied, pages)
-				atomic.AddUint64(&res.Forking.CacheSetsRestored, sets)
-			}
-		}()
-	}
-
-	// Batched dispatch. A fixed campaign is one batch spanning the whole
-	// budget; an adaptive campaign sends masks [done, hi) per batch and
-	// re-evaluates the Wilson half-width at each barrier. Batches are
-	// contiguous mask-index ranges, so the set of executed masks is always
-	// the stream prefix [0, done) — the invariant the differential suite
-	// proves — while rung sorting inside a batch keeps each worker's
-	// scratch walking the ladder monotonically.
-	done := 0
-	for done < len(masks) {
-		hi := len(masks)
-		if adaptive && done+batchSize < hi {
-			hi = done + batchSize
-		}
-		batch := make([]int, hi-done)
-		for j := range batch {
-			batch[j] = done + j
-		}
-		if len(rungs) > 1 {
-			sort.SliceStable(batch, func(a, b int) bool { return rungOf[batch[a]] < rungOf[batch[b]] })
-		}
-		pending.Add(len(batch))
-		for _, i := range batch {
-			work <- i
-		}
-		pending.Wait()
-		done = hi
-		res.Batches++
-		if failed.Load() {
-			break
-		}
-		if adaptive && done >= minFaults && done < len(masks) {
-			var c metrics.Counts
-			for _, r := range res.Records[:done] {
-				c.Add(r.Verdict)
-			}
-			if metrics.Confidence(c.AVF(), done, z).Half() <= cfg.TargetMargin {
-				break
-			}
-		}
-	}
-	close(work)
-	wg.Wait()
-	// A run that cannot even resolve its injection target is an
-	// infrastructure failure, not a hardware fault effect: abort instead of
-	// inflating the AVF with fake crashes.
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res.Records = res.Records[:done]
-	res.FaultsSaved = res.Requested - done
-	res.Margin = core.MarginFor(bits, done, z)
-	for _, r := range res.Records {
-		res.Counts.Add(r.Verdict)
+	for i, v := range verdicts {
+		res.Records[i] = Record{Mask: masks[i], Verdict: v}
 		// The HVF view only exists when the commit-trace analysis ran;
 		// folding it unconditionally would report HVF = 0.0 as if measured.
 		if cfg.HVF {
-			res.Counts.AddHVF(r.Verdict)
+			res.Counts.AddHVF(v)
 		}
 	}
-	res.AchievedMargin = metrics.Confidence(res.Counts.AVF(), done, z).Half()
 	return res, nil
 }
 

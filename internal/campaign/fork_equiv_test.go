@@ -1,9 +1,10 @@
 package campaign_test
 
 // Differential equivalence suite for copy-on-write checkpoint forking:
-// the CoW fork/reset strategy must be bit-for-bit indistinguishable from
-// the legacy per-run deep clone. Every CPU target runs the same small
-// campaign under both strategies and the complete results — per-mask
+// the dispatch kernel's CoW fork/reset strategy must be bit-for-bit
+// indistinguishable from the clone oracle, which runs every mask serially
+// on a deep Clone of the checkpoint. Every CPU target runs the same small
+// campaign under both and the complete results — per-mask
 // classifications, HVF commit-trace verdicts, cycle counts, crash codes,
 // aggregate counts and AVF/HVF numbers — are compared field by field.
 
@@ -47,24 +48,17 @@ func diffResults(t *testing.T, label string, a, b *campaign.Result) {
 	}
 }
 
-// runBoth executes the same campaign with the legacy clone strategy and
-// with CoW forking, returning both results.
+// runBoth executes the same campaign through the clone oracle and through
+// the kernel's CoW forking, returning both results.
 func runBoth(t *testing.T, cfg campaign.Config) (clone, fork *campaign.Result) {
 	t.Helper()
-	legacy := cfg
-	legacy.LegacyClone = true
-	clone, err := campaign.Run(legacy)
+	clone, err := campaign.RunCloneOracle(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cow := cfg
-	cow.LegacyClone = false
-	fork, err = campaign.Run(cow)
+	fork, err = campaign.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if clone.Forking.ReuseHits != 0 {
-		t.Errorf("legacy campaign reported %d reuse hits", clone.Forking.ReuseHits)
 	}
 	return clone, fork
 }
@@ -220,9 +214,6 @@ func TestForkStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Forking
-	if f.Legacy {
-		t.Fatal("CoW forking should be the default strategy")
-	}
 	if f.Forks == 0 || f.Forks > 2 {
 		t.Errorf("expected one fork per active worker (<=2), got %d", f.Forks)
 	}

@@ -225,6 +225,22 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+	// Removed knobs are unknown fields too: the deep-clone and
+	// rebuild-per-fault modes are gone, and a client still sending them
+	// must get a 400, not a silently different campaign.
+	for _, body := range []string{
+		`{"kind":"campaign","campaign":{"ISA":"riscv","Workload":"crc32","Target":"prf","Faults":4,"LegacyClone":true}}`,
+		`{"kind":"accel","accel":{"Design":"gemm","Component":"MATRIX1","Faults":4,"LegacyRebuild":true}}`,
+	} {
+		resp, err = http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("removed knob %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
 	// Invalid spec.
 	bad := fastCampaign(1)
 	bad.Campaign.ISA = "mips"

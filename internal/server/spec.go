@@ -21,6 +21,7 @@ import (
 	"hash/fnv"
 
 	"marvel"
+	"marvel/internal/dispatch"
 	"marvel/internal/sweep"
 )
 
@@ -63,9 +64,6 @@ func (r Request) Validate() error {
 		if r.Accel != nil || r.Sweep != nil {
 			return fmt.Errorf("server: exactly one spec per request")
 		}
-		if r.Campaign.LegacyClone {
-			return fmt.Errorf("server: legacyClone A/B mode is not available in service mode")
-		}
 		return r.Campaign.Validate()
 	case KindAccel:
 		if r.Accel == nil {
@@ -76,9 +74,6 @@ func (r Request) Validate() error {
 		}
 		if r.Accel.GemmMultipliers > 0 {
 			return fmt.Errorf("server: gemmMultipliers override is not available in service mode")
-		}
-		if r.Accel.LegacyRebuild {
-			return fmt.Errorf("server: legacyRebuild A/B mode is not available in service mode")
 		}
 		return r.Accel.Validate()
 	case KindSweep:
@@ -207,29 +202,10 @@ func modelName(m marvel.FaultModel) string {
 // bound. Returns 0 if the grid fails to plan, which a validated
 // request's grid cannot.
 func (r Request) TotalFaults() int64 {
-	cells, err := sweep.Plan(r.grid())
+	g := r.grid()
+	cells, err := sweep.Plan(g)
 	if err != nil {
 		return 0
 	}
-	return int64(len(cells)) * int64(r.faults())
-}
-
-// faults is the per-cell budget: the adaptive cap when one is set, else
-// the fixed sample size.
-func (r Request) faults() int {
-	budget := func(faults int, margin float64, maxFaults int) int {
-		if margin > 0 && maxFaults > 0 {
-			return maxFaults
-		}
-		return faults
-	}
-	switch r.Kind {
-	case KindCampaign:
-		return budget(r.Campaign.Faults, r.Campaign.TargetMargin, r.Campaign.MaxFaults)
-	case KindAccel:
-		return budget(r.Accel.Faults, r.Accel.TargetMargin, r.Accel.MaxFaults)
-	case KindSweep:
-		return budget(r.Sweep.Faults, r.Sweep.TargetMargin, r.Sweep.MaxFaults)
-	}
-	return 0
+	return int64(len(cells)) * int64(dispatch.Budget(g.Faults, g.TargetMargin, g.MaxFaults))
 }

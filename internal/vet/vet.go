@@ -72,6 +72,7 @@ var enginePaths = []string{
 	"marvel/internal/accel",
 	"marvel/internal/campaign",
 	"marvel/internal/classify",
+	"marvel/internal/dispatch",
 	"marvel/internal/sweep",
 	"marvel/internal/program",
 	"marvel/internal/workloads",

@@ -79,6 +79,7 @@ func TestClassify(t *testing.T) {
 	}{
 		{"marvel/internal/core", ClassEngine},
 		{"marvel/internal/campaign", ClassEngine},
+		{"marvel/internal/dispatch", ClassEngine},
 		{"marvel/internal/program/ir", ClassEngine}, // nested engine packages inherit
 		{"marvel/internal/obs", ClassSupport},
 		{"marvel/internal/figures", ClassSupport},

@@ -5,9 +5,10 @@
 #       (determinism, maporder, rngsource, obscost, errdiscipline) must
 #       pass on the whole tree, and — guard-the-guard — must demonstrably
 #       fail on a seeded violation
-#   2. race jobs: the CPU and accelerator campaigns' parallel paths under
-#      the race detector (including traced campaigns, atomic ForkStats
-#      and the checkpoint-ladder differential suite)
+#   2. race jobs: the shared fault-dispatch kernel and the CPU and
+#      accelerator campaigns' parallel paths under the race detector
+#      (including traced campaigns, ForkStats folding and the
+#      checkpoint-ladder differential suite)
 #   3. sweep race job + differential guard: the orchestrator's two-level
 #      parallelism, golden-cache reuse and resume must be race-free and
 #      bit-identical to standalone campaigns; adaptive confidence-targeted
@@ -61,6 +62,9 @@ if go run ./cmd/marvel-vet -as marvel/internal/campaign "$vetdir/bad.go" >/dev/n
 	exit 1
 fi
 rm -rf "$vetdir"
+
+echo "== race: fault-dispatch kernel =="
+go test -race ./internal/dispatch
 
 echo "== race: parallel campaign determinism =="
 go test -race -run 'TestCampaignWorkerCountInvariance|TestForkCloneEquivalence' ./internal/campaign
