@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -512,9 +513,6 @@ func BenchmarkAblation_InjectionDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput reports raw simulation speed (cycles/sec of
-// the golden RISC-V sha run), the "typical use of microarchitectural
-// simulators" the abstract mentions.
 // BenchmarkTracingOverhead quantifies the observability layer's cost on
 // the simulator hot path. "off" is the golden path — a nil Tracer, so
 // every emission site reduces to one nil check — and must stay within
@@ -615,6 +613,10 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	fmt.Printf("\nProfiling overhead: %v unprofiled -> %v profiled (%+.1f%%)\n", off, on, 100*overhead)
 }
 
+// BenchmarkSimulatorThroughput reports raw simulation speed (cycles/sec of
+// the golden RISC-V sha run), the "typical use of microarchitectural
+// simulators" the abstract mentions, and the heap allocations per
+// simulated cycle inside System.Run.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec, err := workloads.ByName("sha")
 	if err != nil {
@@ -625,18 +627,24 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	pre := config.TableII()
-	var cycles uint64
+	var cycles, mallocs uint64
+	var ms0, ms1 runtime.MemStats
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys, err := soc.New(img, pre.CPU, pre.Hier, pre.MemLatency)
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&ms0)
 		res := sys.Run(50_000_000)
+		runtime.ReadMemStats(&ms1)
 		if res.Status != soc.RunCompleted {
 			b.Fatal(res.Status)
 		}
 		cycles += res.Cycles
+		mallocs += ms1.Mallocs - ms0.Mallocs
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
+	b.ReportMetric(float64(mallocs)/float64(cycles), "allocs/simcycle")
 }

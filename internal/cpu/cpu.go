@@ -84,6 +84,10 @@ func (c Config) Validate(arch isa.Arch) error {
 		return fmt.Errorf("cpu: fetch width %d below max instruction length %d",
 			c.FetchBytes, arch.MaxInstLen())
 	}
+	if arch.MaxInstLen() > maxWindow {
+		return fmt.Errorf("cpu: max instruction length %d exceeds the %d-byte decode window",
+			arch.MaxInstLen(), maxWindow)
+	}
 	if c.BimodalSize&(c.BimodalSize-1) != 0 {
 		return fmt.Errorf("cpu: bimodal size must be a power of two")
 	}
@@ -177,13 +181,22 @@ type CPU struct {
 	cycle uint64
 	seq   uint64
 
-	// Front end.
+	// Front end. fbuf holds the fetched, not yet decoded bytes; it is a
+	// window into the core's own fstore, which fetch compacts and never
+	// reallocates. memo caches decode results by (PC, byte window).
 	fetchPC        uint64
 	fetchBusyUntil uint64
 	fetchFault     bool
 	fbuf           []byte
+	fstore         []byte
 	fbufPC         uint64
 	uq             []fqUop
+	memo           *decodeMemo
+	memoShift      uint
+
+	// ldst stages load and store data for the memory hierarchy; a stack
+	// buffer would escape through the MMIO Bus interface.
+	ldst [8]byte
 
 	bimodal []uint8
 
@@ -224,18 +237,27 @@ func New(arch isa.Arch, cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 	if err := cfg.Validate(arch); err != nil {
 		return nil, err
 	}
+	// Every queue is allocated at its bound, so the tick loop never
+	// grows a slice.
 	c := &CPU{
-		cfg:     cfg,
-		arch:    arch,
-		traits:  arch.Traits(),
-		hier:    hier,
-		bimodal: make([]uint8, cfg.BimodalSize),
-		rmap:    make([]PReg, arch.NumRegs()),
-		prf:     NewPhysRegFile(cfg.NumPhysRegs),
-		rob:     make([]robEntry, cfg.ROBSize),
-		lq:      NewLSQ("lq", cfg.LQSize),
-		sq:      NewLSQ("sq", cfg.SQSize),
+		cfg:       cfg,
+		arch:      arch,
+		traits:    arch.Traits(),
+		hier:      hier,
+		fstore:    make([]byte, arch.MaxInstLen()+cfg.FetchBytes),
+		uq:        make([]fqUop, 0, cfg.Width*4+isa.MaxUops),
+		memoShift: memoShift(arch),
+		bimodal:   make([]uint8, cfg.BimodalSize),
+		rmap:      make([]PReg, arch.NumRegs()),
+		freeList:  make([]PReg, 0, cfg.NumPhysRegs),
+		prf:       NewPhysRegFile(cfg.NumPhysRegs),
+		rob:       make([]robEntry, cfg.ROBSize),
+		iq:        make([]iqEntry, 0, cfg.IQSize),
+		lq:        NewLSQ("lq", cfg.LQSize),
+		sq:        NewLSQ("sq", cfg.SQSize),
+		events:    make([]event, 0, cfg.ROBSize),
 	}
+	c.fbuf = c.fstore[:0]
 	return c, nil
 }
 
@@ -257,8 +279,8 @@ func (c *CPU) Boot(entry, sp uint64, spReg isa.Reg) {
 		c.prf.SetInitial(c.rmap[spReg], sp)
 	}
 	c.fetchPC = entry
-	c.fbuf = nil
-	c.uq = nil
+	c.fbuf = c.fstore[:0]
+	c.uq = c.uq[:0]
 	c.robHead, c.robCount = 0, 0
 	c.iq = c.iq[:0]
 	c.lq.reset()
@@ -305,12 +327,13 @@ func (c *CPU) SQ() *LSQ { return c.sq }
 
 // ResetTo restores every scalar and storage field of c to g's state while
 // keeping c's hierarchy attachment and reusing c's slice backing arrays —
-// the cheap per-fault reset of checkpoint forking. Hooks are cleared; the
-// new run installs its own. g must be a frozen checkpoint core with the
-// same configuration.
+// the cheap per-fault reset of checkpoint forking. c keeps its own decode
+// memo: the memo is not architectural state, and sharing g's would race
+// with other cores reset from g. Hooks are cleared; the new run installs
+// its own. g must be a frozen checkpoint core with the same configuration.
 func (c *CPU) ResetTo(g *CPU) {
-	hier := c.hier
-	fbuf, uq, bimodal := c.fbuf, c.uq, c.bimodal
+	hier, memo := c.hier, c.memo
+	fstore, uq, bimodal := c.fstore, c.uq, c.bimodal
 	rmap, freeList := c.rmap, c.freeList
 	prf, rob, iq := c.prf, c.rob, c.iq
 	lq, sq, events := c.lq, c.sq, c.events
@@ -319,8 +342,9 @@ func (c *CPU) ResetTo(g *CPU) {
 	// trap, stats, ...) so new fields stay covered by construction; the
 	// slice and pointer fields are then re-pointed at c's own storage.
 	*c = *g
-	c.hier = hier
-	c.fbuf = append(fbuf[:0], g.fbuf...)
+	c.hier, c.memo = hier, memo
+	c.fstore = fstore
+	c.fbuf = fstore[:copy(fstore, g.fbuf)]
 	c.uq = append(uq[:0], g.uq...)
 	c.bimodal = bimodal
 	copy(c.bimodal, g.bimodal)
@@ -342,24 +366,31 @@ func (c *CPU) ResetTo(g *CPU) {
 	c.Trace = nil
 }
 
-// Clone deep-copies the core onto an already-cloned hierarchy. Hooks are
-// not copied; the new owner installs its own.
+// Clone deep-copies the core onto an already-cloned hierarchy. The copy
+// starts with an empty decode memo, so a checkpoint that is never stepped
+// costs no memo heap. Hooks are not copied; the new owner installs its own.
 func (c *CPU) Clone(hier *mem.Hierarchy) *CPU {
 	n := *c
 	n.hier = hier
-	n.fbuf = append([]byte(nil), c.fbuf...)
-	n.uq = append([]fqUop(nil), c.uq...)
-	n.bimodal = append([]uint8(nil), c.bimodal...)
-	n.rmap = append([]PReg(nil), c.rmap...)
-	n.freeList = append([]PReg(nil), c.freeList...)
+	n.memo = nil
+	n.fstore = make([]byte, len(c.fstore))
+	n.fbuf = n.fstore[:copy(n.fstore, c.fbuf)]
+	n.uq = cloneSlice(c.uq)
+	n.bimodal = cloneSlice(c.bimodal)
+	n.rmap = cloneSlice(c.rmap)
+	n.freeList = cloneSlice(c.freeList)
 	n.prf = c.prf.Clone()
-	n.rob = append([]robEntry(nil), c.rob...)
-	n.iq = append([]iqEntry(nil), c.iq...)
+	n.rob = cloneSlice(c.rob)
+	n.iq = cloneSlice(c.iq)
 	n.lq = c.lq.Clone()
 	n.sq = c.sq.Clone()
-	n.events = append([]event(nil), c.events...)
+	n.events = cloneSlice(c.events)
 	n.MagicHook = nil
 	n.CommitHook = nil
 	n.Trace = nil
 	return &n
 }
+
+// cloneSlice copies s into a new backing array of the same capacity, so
+// the clone's queues stay at their bounds and never grow.
+func cloneSlice[T any](s []T) []T { return append(make([]T, 0, cap(s)), s...) }

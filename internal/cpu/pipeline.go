@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"marvel/internal/isa"
-	"marvel/internal/mem"
 	"marvel/internal/obs"
 )
 
@@ -132,11 +131,11 @@ func (c *CPU) commitStore(e *robEntry) bool {
 	if size == 0 {
 		size = 1
 	}
-	var buf [8]byte
-	for i := 0; i < size; i++ {
+	buf := c.ldst[:size]
+	for i := range buf {
 		buf[i] = byte(se.data >> (8 * i))
 	}
-	if _, err := c.hier.Store(se.addr, buf[:size]); err != nil {
+	if _, err := c.hier.Store(se.addr, buf); err != nil {
 		c.trap = &Trap{Code: TrapMemFault, PC: e.uop.PC, Addr: se.addr}
 		return false
 	}
@@ -298,14 +297,14 @@ func (c *CPU) tryLoad(le *lsqEntry) (loadStatus, uint64, int) {
 		}
 		return loadBlocked, 0, 0 // partial overlap: wait for commit
 	}
-	var buf [8]byte
-	lat, err := c.hier.Load(le.addr, buf[:size])
+	buf := c.ldst[:size]
+	lat, err := c.hier.Load(le.addr, buf)
 	if err != nil {
 		return loadFaulted, 0, 0
 	}
 	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(buf[i]) << (8 * i)
+	for i, b := range buf {
+		v |= uint64(b) << (8 * i)
 	}
 	return loadFromMem, v, lat
 }
@@ -617,7 +616,7 @@ func (c *CPU) squashAfter(seq uint64, newPC uint64) {
 	c.iq = keptIQ
 
 	c.uq = c.uq[:0]
-	c.fbuf = nil
+	c.fbuf = c.fstore[:0]
 	c.fetchPC = newPC
 	c.fetchFault = false
 	if c.fetchBusyUntil > c.cycle+1 {
@@ -627,89 +626,97 @@ func (c *CPU) squashAfter(seq uint64, newPC uint64) {
 
 // --- Rename / dispatch ---
 
+// rename dispatches up to Width micro-ops from the head of the micro-op
+// queue, then shifts the rest to the front so the queue never regrows.
 func (c *CPU) rename() {
 	n := 0
-	for n < c.cfg.Width && len(c.uq) > 0 {
-		fu := c.uq[0]
-		u := &fu.uop
-		if c.robCount == len(c.rob) {
-			return
-		}
-		needsIQ := false
-		switch u.Kind {
-		case isa.KindALU, isa.KindMul, isa.KindDiv, isa.KindBranch, isa.KindJumpReg:
-			needsIQ = true
-		case isa.KindLoad:
-			needsIQ = true
-			if c.lq.Full() {
-				return
-			}
-		case isa.KindStore:
-			needsIQ = true
-			if c.sq.Full() {
-				return
-			}
-		}
-		if needsIQ && len(c.iq) >= c.cfg.IQSize {
-			return
-		}
-		if u.Dst != isa.NoReg && len(c.freeList) == 0 {
-			return
-		}
-
-		c.seq++
-		idx := c.robIdx(c.robCount)
-		c.robCount++
-		e := &c.rob[idx]
-		*e = robEntry{
-			valid:     true,
-			idx:       idx,
-			seq:       c.seq,
-			uop:       *u,
-			ps1:       c.mapSrc(u.Src1),
-			ps2:       c.mapSrc(u.Src2),
-			ps3:       c.mapSrc(u.Src3),
-			psp:       c.mapSrc(u.SrcP),
-			pdst:      NoPReg,
-			oldPdst:   NoPReg,
-			predTaken: fu.predTaken,
-			lqSlot:    -1,
-			sqSlot:    -1,
-		}
-		if u.Dst != isa.NoReg {
-			p := c.freeList[len(c.freeList)-1]
-			c.freeList = c.freeList[:len(c.freeList)-1]
-			e.oldPdst = c.rmap[u.Dst]
-			c.rmap[u.Dst] = p
-			e.pdst = p
-			c.prf.Allocate(p)
-		}
-		switch u.Kind {
-		case isa.KindLoad:
-			slot, _ := c.lq.alloc(e.seq, idx)
-			e.lqSlot = slot
-		case isa.KindStore:
-			slot, _ := c.sq.alloc(e.seq, idx)
-			e.sqSlot = slot
-		case isa.KindJump:
-			// Direct jumps resolve at decode; the link value is known.
-			if e.pdst != NoPReg {
-				c.prf.Write(e.pdst, u.NextPC)
-				e.result = u.NextPC
-			}
-			e.done = true
-		case isa.KindNop, isa.KindHalt, isa.KindWFI, isa.KindMagic, isa.KindIllegal:
-			if u.Kind == isa.KindIllegal {
-				e.trapCode = TrapIllegal
-			}
-			e.done = true
-		}
-		if needsIQ {
-			c.iq = append(c.iq, iqEntry{robIdx: idx, seq: e.seq})
-		}
-		c.uq = c.uq[1:]
+	for n < c.cfg.Width && n < len(c.uq) && c.renameOne(&c.uq[n]) {
 		n++
 	}
+	c.uq = c.uq[:copy(c.uq, c.uq[n:])]
+}
+
+// renameOne allocates the ROB, IQ, LSQ and physical-register resources of
+// one micro-op. It returns false, leaving all state untouched, when any
+// resource is exhausted.
+func (c *CPU) renameOne(fu *fqUop) bool {
+	u := &fu.uop
+	if c.robCount == len(c.rob) {
+		return false
+	}
+	needsIQ := false
+	switch u.Kind {
+	case isa.KindALU, isa.KindMul, isa.KindDiv, isa.KindBranch, isa.KindJumpReg:
+		needsIQ = true
+	case isa.KindLoad:
+		needsIQ = true
+		if c.lq.Full() {
+			return false
+		}
+	case isa.KindStore:
+		needsIQ = true
+		if c.sq.Full() {
+			return false
+		}
+	}
+	if needsIQ && len(c.iq) >= c.cfg.IQSize {
+		return false
+	}
+	if u.Dst != isa.NoReg && len(c.freeList) == 0 {
+		return false
+	}
+
+	c.seq++
+	idx := c.robIdx(c.robCount)
+	c.robCount++
+	e := &c.rob[idx]
+	*e = robEntry{
+		valid:     true,
+		idx:       idx,
+		seq:       c.seq,
+		uop:       *u,
+		ps1:       c.mapSrc(u.Src1),
+		ps2:       c.mapSrc(u.Src2),
+		ps3:       c.mapSrc(u.Src3),
+		psp:       c.mapSrc(u.SrcP),
+		pdst:      NoPReg,
+		oldPdst:   NoPReg,
+		predTaken: fu.predTaken,
+		lqSlot:    -1,
+		sqSlot:    -1,
+	}
+	if u.Dst != isa.NoReg {
+		p := c.freeList[len(c.freeList)-1]
+		c.freeList = c.freeList[:len(c.freeList)-1]
+		e.oldPdst = c.rmap[u.Dst]
+		c.rmap[u.Dst] = p
+		e.pdst = p
+		c.prf.Allocate(p)
+	}
+	switch u.Kind {
+	case isa.KindLoad:
+		slot, _ := c.lq.alloc(e.seq, idx)
+		e.lqSlot = slot
+	case isa.KindStore:
+		slot, _ := c.sq.alloc(e.seq, idx)
+		e.sqSlot = slot
+	case isa.KindJump:
+		// Direct jumps resolve at decode; the link value is known.
+		if e.pdst != NoPReg {
+			c.prf.Write(e.pdst, u.NextPC)
+			e.result = u.NextPC
+		}
+		e.done = true
+	case isa.KindNop, isa.KindHalt, isa.KindWFI, isa.KindMagic, isa.KindIllegal:
+		if u.Kind == isa.KindIllegal {
+			e.trapCode = TrapIllegal
+		}
+		e.done = true
+	}
+	if needsIQ {
+		c.iq = append(c.iq, iqEntry{robIdx: idx, seq: e.seq})
+	}
+	return true
 }
 
 // freePhys returns a physical register to the rename pool.
@@ -746,7 +753,9 @@ func (c *CPU) trainBimodal(pc uint64, taken bool) {
 }
 
 // fetchDecode fetches raw bytes through the L1I and decodes them along the
-// predicted path into the micro-op queue.
+// predicted path into the micro-op queue. Every byte still comes through
+// the L1I (timing, replacement, fault state); only the bytes-to-micro-ops
+// step is memoized, keyed on the exact MaxInstLen window Decode reads.
 func (c *CPU) fetchDecode() {
 	if c.fetchFault || c.cycle < c.fetchBusyUntil {
 		return
@@ -765,13 +774,13 @@ func (c *CPU) fetchDecode() {
 				return // miss in flight; bytes decode when it completes
 			}
 		}
-		pc := c.fbufPC
-		d := c.arch.Decode(pc, c.fbuf)
+		d := c.decode(c.fbufPC, c.fbuf[:maxLen])
 		redirect := uint64(0)
 		hasRedirect := false
 		stop := false
-		for _, u := range d.Uops {
-			fu := fqUop{uop: u}
+		for _, u := range d.Uops() {
+			c.uq = append(c.uq, fqUop{uop: u})
+			fu := &c.uq[len(c.uq)-1]
 			switch u.Kind {
 			case isa.KindJump:
 				fu.predTaken = true
@@ -784,17 +793,16 @@ func (c *CPU) fetchDecode() {
 			case isa.KindHalt, isa.KindIllegal:
 				stop = true
 			}
-			c.uq = append(c.uq, fu)
 		}
 		decoded++
 		if hasRedirect {
-			c.fbuf = nil
+			c.fbuf = c.fstore[:0]
 			c.fetchPC = redirect
 			return // taken-control-flow fetch break
 		}
 		if stop {
 			// Do not speculate past a halt or an undecodable region.
-			c.fbuf = nil
+			c.fbuf = c.fstore[:0]
 			c.fetchFault = true
 			return
 		}
@@ -805,7 +813,9 @@ func (c *CPU) fetchDecode() {
 
 // fetchChunk appends the next contiguous chunk of instruction bytes to the
 // fetch buffer, stopping at the cache line boundary. Returns false when no
-// bytes could be fetched this cycle.
+// bytes could be fetched this cycle. It first moves the undecoded bytes to
+// the front of the backing store and fetches straight behind them; fetch
+// only refills below MaxInstLen bytes, so the store never overflows.
 func (c *CPU) fetchChunk() bool {
 	next := c.fetchPC
 	if len(c.fbuf) > 0 {
@@ -818,14 +828,16 @@ func (c *CPU) fetchChunk() bool {
 	if n > c.cfg.FetchBytes {
 		n = c.cfg.FetchBytes
 	}
-	buf := make([]byte, n)
-	lat, err := c.hier.Fetch(next, buf)
+	have := copy(c.fstore, c.fbuf)
+	c.fbuf = c.fstore[:have]
+	lat, err := c.hier.Fetch(next, c.fstore[have:have+n])
 	if err != nil {
-		if len(c.fbuf) >= 1 {
+		if have >= 1 {
 			// Pad with zeros so the trailing instruction decodes (likely
 			// to an illegal op) instead of wedging fetch.
-			pad := make([]byte, c.arch.MaxInstLen())
-			c.fbuf = append(c.fbuf, pad...)
+			pad := c.fstore[have : have+c.arch.MaxInstLen()]
+			clear(pad)
+			c.fbuf = c.fstore[:have+len(pad)]
 			return true
 		}
 		// Fetching from an unmapped address: synthesize an illegal op so
@@ -836,12 +848,10 @@ func (c *CPU) fetchChunk() bool {
 		c.fetchFault = true
 		return false
 	}
-	c.fbuf = append(c.fbuf, buf...)
+	c.fbuf = c.fstore[:have+n]
 	c.fetchPC = next + uint64(n)
 	if lat > c.hier.L1I.Config().HitLat {
 		c.fetchBusyUntil = c.cycle + uint64(lat)
 	}
 	return true
 }
-
-var _ = mem.AccessError{}

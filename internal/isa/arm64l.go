@@ -215,11 +215,8 @@ func ArmSys(sel int64) uint32 { return armEnc(armCondAL, armClsSys, uint32(sel)&
 
 // Decode implements Arch.
 func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
-	illu := NewUop(pc, pc+4)
-	illu.Kind, illu.Last = KindIllegal, true
-	illegal := Decoded{Uops: []MicroOp{illu}, Size: 4}
 	if len(b) < 4 {
-		return illegal
+		return illegalOp(pc, 4)
 	}
 	w := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 	cond := armConds[w>>28]
@@ -230,14 +227,14 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 	// A "never" condition turns any instruction into a nop.
 	if cond == CondNV && cls != armClsBranch {
 		u.Kind = KindNop
-		return Decoded{Uops: []MicroOp{u}, Size: 4}
+		return decoded(4, u)
 	}
 
 	switch cls {
 	case armClsALUReg:
 		op := AluOp(w >> 19 & 0x1F)
 		if op >= AluNumOps {
-			return illegal
+			return illegalOp(pc, 4)
 		}
 		rd, rn, rm := Reg(w>>14&0x1F), Reg(w>>9&0x1F), Reg(w>>4&0x1F)
 		sh := w & 0xF
@@ -255,7 +252,7 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 	case armClsALUImm:
 		op := AluOp(w >> 19 & 0x1F)
 		if op >= AluNumOps {
-			return illegal
+			return illegalOp(pc, 4)
 		}
 		rd, rn := Reg(w>>14&0x1F), Reg(w>>9&0x1F)
 		u.Kind, u.Alu, u.Dst, u.Src1, u.Src2 = KindALU, op, rd, rn, NoReg
@@ -279,7 +276,7 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 			clr.Imm = int64(^(uint64(0xFFFF) << (16 * hw)))
 			u.Kind, u.Alu = KindALU, AluOr
 			u.Dst, u.Src1, u.Imm = rd, ArmTmp1, int64(imm)
-			return armPredicate(cond, Decoded{Uops: []MicroOp{clr, u}, Size: 4})
+			return armPredicate(cond, decoded(4, clr, u))
 		}
 		u.Kind, u.Alu, u.Dst, u.Src1, u.Src2 = KindALU, AluMovB, rd, NoReg, NoReg
 		u.Imm = int64(imm)
@@ -329,12 +326,12 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 		case 3:
 			u.Kind = KindWFI
 		default:
-			return illegal
+			return illegalOp(pc, 4)
 		}
 	default:
-		return illegal
+		return illegalOp(pc, 4)
 	}
-	return armPredicate(cond, Decoded{Uops: []MicroOp{u}, Size: 4})
+	return armPredicate(cond, decoded(4, u))
 }
 
 // armPredicate applies a non-AL condition field to the decoded micro-ops:
@@ -347,8 +344,9 @@ func armPredicate(cond Cond, d Decoded) Decoded {
 	if cond == CondAL {
 		return d
 	}
-	for i := range d.Uops {
-		u := &d.Uops[i]
+	uops := d.Uops()
+	for i := range uops {
+		u := &uops[i]
 		switch u.Kind {
 		case KindALU, KindMul, KindDiv, KindLoad, KindStore:
 			u.Pred, u.SrcP = cond, ArmFlags

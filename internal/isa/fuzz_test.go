@@ -35,6 +35,47 @@ func FuzzISARoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzDecodeWindow checks the window contract the CPU's decode memo keys
+// on, for all three ISAs and arbitrary (pc, bytes) with more bytes than
+// MaxInstLen:
+//
+//   - Decode(pc, b) equals Decode(pc, b[:MaxInstLen]): bytes past the
+//     window never change the result, so a memo keyed on (pc, window) is
+//     exact;
+//   - the result holds 1..MaxUops micro-ops and only the final one has
+//     Last set.
+func FuzzDecodeWindow(f *testing.F) {
+	f.Add(uint64(0x1000), []byte{0x33, 0x85, 0xC6, 0x00, 0x13, 0x05, 0x10, 0x00, 0x90, 0x90, 0x90, 0x90, 0x90})
+	f.Add(uint64(0x2002), []byte{0x48, 0xF7, 0xF3, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4, 0xF4}) // X86L div
+	f.Add(uint64(0x3000), []byte{0x48, 0x81, 0x84, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA})       // X86L ALU [m], imm32
+	f.Add(uint64(0), []byte{0x48, 0xB8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})                       // X86L mov imm64
+	f.Add(uint64(0xFFFFFFFFFFFFFFF0), []byte{0x0F, 0x84, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, pc uint64, data []byte) {
+		for _, a := range All() {
+			max := a.MaxInstLen()
+			b := append([]byte(nil), data...)
+			for len(b) <= max { // always hand Decode more than the window
+				b = append(b, byte(len(b))*0x9D+0x5B)
+			}
+			full := a.Decode(pc, b)
+			win := a.Decode(pc, b[:max:max])
+			if full != win {
+				t.Fatalf("%s: pc %#x bytes % x: decode reads past the %d-byte window:\n full   %+v\n window %+v",
+					a.Name(), pc, b, max, full, win)
+			}
+			uops := win.Uops()
+			if len(uops) < 1 || len(uops) > MaxUops {
+				t.Fatalf("%s: %d micro-ops for % x, want 1..%d", a.Name(), len(uops), b[:max], MaxUops)
+			}
+			for i, u := range uops {
+				if u.Last != (i == len(uops)-1) {
+					t.Fatalf("%s: uop %d/%d Last=%v for % x", a.Name(), i, len(uops), u.Last, b[:max])
+				}
+			}
+		}
+	})
+}
+
 // checkDecodeStream decodes data as an instruction stream, handing the
 // decoder exactly MaxInstLen bytes per instruction like the fetch unit
 // does.
@@ -55,12 +96,12 @@ func checkDecodeStream(t *testing.T, a Arch, data []byte) {
 		if fixed != 0 && d.Size != fixed {
 			t.Fatalf("%s: size %d on a fixed-%d-byte ISA for % x", a.Name(), d.Size, fixed, win)
 		}
-		if len(d.Uops) == 0 {
+		if len(d.Uops()) == 0 {
 			t.Fatalf("%s: no micro-ops for % x", a.Name(), win)
 		}
-		for i, u := range d.Uops {
-			if got, want := u.Last, i == len(d.Uops)-1; got != want {
-				t.Fatalf("%s: uop %d/%d Last=%v for % x", a.Name(), i, len(d.Uops), got, win)
+		for i, u := range d.Uops() {
+			if got, want := u.Last, i == len(d.Uops())-1; got != want {
+				t.Fatalf("%s: uop %d/%d Last=%v for % x", a.Name(), i, len(d.Uops()), got, win)
 			}
 		}
 		if d2 := a.Decode(pc0+uint64(off), win); !reflect.DeepEqual(d, d2) {
@@ -85,10 +126,10 @@ func checkEncodeRoundTrip(t *testing.T, data []byte) {
 	if w, ok := RvALU(op, Reg(data[1]%31+1), Reg(data[2]%32), Reg(data[3]%32)); ok {
 		b := []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)}
 		d := RV64L{}.Decode(0x1000, b)
-		if len(d.Uops) != 1 {
-			t.Fatalf("riscv: ALU word %08x cracked into %d uops", w, len(d.Uops))
+		if len(d.Uops()) != 1 {
+			t.Fatalf("riscv: ALU word %08x cracked into %d uops", w, len(d.Uops()))
 		}
-		u := d.Uops[0]
+		u := d.Uops()[0]
 		w2, ok2 := RvALU(u.Alu, u.Dst, u.Src1, u.Src2)
 		if !ok2 || w2 != w {
 			t.Fatalf("riscv: %08x decoded to alu=%d rd=%d rs1=%d rs2=%d, re-encodes to %08x (ok=%v)",
@@ -139,7 +180,7 @@ func checkEncodeRoundTrip(t *testing.T, data []byte) {
 func soleALU(d Decoded, op AluOp) (MicroOp, int) {
 	var out MicroOp
 	n := 0
-	for _, u := range d.Uops {
+	for _, u := range d.Uops() {
 		if u.Kind == KindALU || u.Kind == KindMul || u.Kind == KindDiv {
 			if u.Alu == op {
 				out = u

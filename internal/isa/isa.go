@@ -199,10 +199,39 @@ func (u *MicroOp) IsCtrl() bool {
 	return u.Kind == KindBranch || u.Kind == KindJump || u.Kind == KindJumpReg
 }
 
-// Decoded is the result of decoding one instruction's bytes.
+// MaxUops bounds the micro-ops one instruction cracks into: X86L div
+// (quotient, remainder and two moves) is the longest crack.
+const MaxUops = 4
+
+// Decoded is the result of decoding one instruction's bytes. The micro-ops
+// live inline, so decoding allocates nothing and a Decoded can be cached
+// and copied by value.
 type Decoded struct {
-	Uops []MicroOp
+	uops [MaxUops]MicroOp
+	n    uint8
 	Size int // encoded length in bytes
+}
+
+// Uops returns the instruction's micro-ops, in program order; the last
+// one has Last set. The slice aliases d.
+func (d *Decoded) Uops() []MicroOp { return d.uops[:d.n] }
+
+// decoded packs uops into a Decoded of the given encoded size. More than
+// MaxUops micro-ops is a decoder bug and panics.
+func decoded(size int, uops ...MicroOp) Decoded {
+	d := Decoded{Size: size, n: uint8(len(uops))}
+	for i, u := range uops {
+		d.uops[i] = u
+	}
+	return d
+}
+
+// illegalOp is the decode of undecodable bytes: one KindIllegal micro-op
+// covering size bytes, so the fault is raised architecturally at commit.
+func illegalOp(pc uint64, size int) Decoded {
+	u := NewUop(pc, pc+uint64(size))
+	u.Kind, u.Last = KindIllegal, true
+	return decoded(size, u)
 }
 
 // Traits captures the ISA-dependent behaviours that matter for fault
@@ -226,13 +255,17 @@ type Arch interface {
 	NumRegs() int
 	// ZeroReg returns the hardwired-zero register, if the ISA has one.
 	ZeroReg() (Reg, bool)
-	// MaxInstLen is the longest possible encoding in bytes; fetch supplies
-	// at least this many bytes to Decode.
+	// MaxInstLen is the longest possible encoding in bytes; fetch hands
+	// Decode windows of exactly this many bytes.
 	MaxInstLen() int
 	// Decode decodes the instruction starting at the beginning of b, whose
 	// virtual address is pc. It never fails: undecodable bytes yield a
 	// single KindIllegal micro-op so the fault is raised architecturally
 	// at commit, matching hardware behaviour.
+	//
+	// Decode reads only b[:MaxInstLen()] and is a pure function of pc and
+	// those bytes: bytes past the window never change the result. The CPU
+	// front end relies on this to memoize decode keyed on (pc, window).
 	Decode(pc uint64, b []byte) Decoded
 	// Traits reports ISA-dependent exception behaviour.
 	Traits() Traits

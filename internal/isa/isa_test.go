@@ -172,13 +172,13 @@ func TestByName(t *testing.T) {
 func decode1(t *testing.T, a Arch, b []byte) MicroOp {
 	t.Helper()
 	d := a.Decode(0x1000, b)
-	if len(d.Uops) != 1 {
-		t.Fatalf("want 1 uop, got %d", len(d.Uops))
+	if len(d.Uops()) != 1 {
+		t.Fatalf("want 1 uop, got %d", len(d.Uops()))
 	}
-	if !d.Uops[0].Last {
+	if !d.Uops()[0].Last {
 		t.Fatal("single uop must be Last")
 	}
-	return d.Uops[0]
+	return d.Uops()[0]
 }
 
 func TestRVALURoundTrip(t *testing.T) {
@@ -382,7 +382,8 @@ func TestRVRoundTripQuick(t *testing.T) {
 		if !ok {
 			return false
 		}
-		u := RV64L{}.Decode(0, le(w)).Uops[0]
+		dec := RV64L{}.Decode(0, le(w))
+		u := dec.Uops()[0]
 		return u.Alu == op && u.Dst == d && u.Src1 == s1 && u.Src2 == s2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -429,14 +430,14 @@ func TestArmMovW(t *testing.T) {
 	}
 	w, _ = ArmMovW(true, 6, 0, 0x1234)
 	d := ARM64L{}.Decode(0x1000, le(w))
-	if len(d.Uops) != 2 {
-		t.Fatalf("movk should crack to 2 uops, got %d", len(d.Uops))
+	if len(d.Uops()) != 2 {
+		t.Fatalf("movk should crack to 2 uops, got %d", len(d.Uops()))
 	}
-	if d.Uops[0].Alu != AluAnd || d.Uops[0].Dst != ArmTmp1 || d.Uops[0].Last {
-		t.Errorf("movk clear uop: %+v", d.Uops[0])
+	if d.Uops()[0].Alu != AluAnd || d.Uops()[0].Dst != ArmTmp1 || d.Uops()[0].Last {
+		t.Errorf("movk clear uop: %+v", d.Uops()[0])
 	}
-	if d.Uops[1].Alu != AluOr || d.Uops[1].Imm != 0x1234 || !d.Uops[1].Last {
-		t.Errorf("movk or uop: %+v", d.Uops[1])
+	if d.Uops()[1].Alu != AluOr || d.Uops()[1].Imm != 0x1234 || !d.Uops()[1].Last {
+		t.Errorf("movk or uop: %+v", d.Uops()[1])
 	}
 }
 
@@ -601,10 +602,10 @@ func TestX86ALUMemFoldsToLoadPlusOp(t *testing.T) {
 		t.Fatal("alu rm failed")
 	}
 	d := decodeAll(t, X86L{}, b)
-	if len(d.Uops) != 2 {
-		t.Fatalf("alu rm should crack to 2 uops, got %d", len(d.Uops))
+	if len(d.Uops()) != 2 {
+		t.Fatalf("alu rm should crack to 2 uops, got %d", len(d.Uops()))
 	}
-	ld, ex := d.Uops[0], d.Uops[1]
+	ld, ex := d.Uops()[0], d.Uops()[1]
 	if ld.Kind != KindLoad || ld.Dst != X86T0 || ld.Src1 != 6 || ld.Imm != 0x40 || ld.MemBytes != 8 {
 		t.Errorf("load uop: %+v", ld)
 	}
@@ -646,16 +647,16 @@ func TestX86LoadStoreWidths(t *testing.T) {
 
 func TestX86DivCrack(t *testing.T) {
 	d := decodeAll(t, X86L{}, X86Div(false, 3))
-	if len(d.Uops) != 4 {
-		t.Fatalf("div should crack to 4 uops, got %d", len(d.Uops))
+	if len(d.Uops()) != 4 {
+		t.Fatalf("div should crack to 4 uops, got %d", len(d.Uops()))
 	}
-	if d.Uops[0].Alu != AluDivU || d.Uops[0].Src1 != X86RAX || d.Uops[0].Src2 != 3 {
-		t.Errorf("div quotient uop: %+v", d.Uops[0])
+	if d.Uops()[0].Alu != AluDivU || d.Uops()[0].Src1 != X86RAX || d.Uops()[0].Src2 != 3 {
+		t.Errorf("div quotient uop: %+v", d.Uops()[0])
 	}
-	if d.Uops[1].Alu != AluRemU {
-		t.Errorf("div remainder uop: %+v", d.Uops[1])
+	if d.Uops()[1].Alu != AluRemU {
+		t.Errorf("div remainder uop: %+v", d.Uops()[1])
 	}
-	if d.Uops[2].Dst != X86RAX || d.Uops[3].Dst != X86RDX {
+	if d.Uops()[2].Dst != X86RAX || d.Uops()[3].Dst != X86RDX {
 		t.Error("div results must land in RAX/RDX")
 	}
 }
@@ -718,8 +719,8 @@ func TestX86Misc(t *testing.T) {
 
 func TestX86IllegalConsumesOneByte(t *testing.T) {
 	d := decodeAll(t, X86L{}, []byte{0xDD, 0x90, 0x90})
-	if d.Uops[0].Kind != KindIllegal || d.Size != 1 {
-		t.Errorf("illegal: %+v size %d", d.Uops[0], d.Size)
+	if d.Uops()[0].Kind != KindIllegal || d.Size != 1 {
+		t.Errorf("illegal: %+v size %d", d.Uops()[0], d.Size)
 	}
 }
 
@@ -752,10 +753,10 @@ func TestX86RoundTripQuick(t *testing.T) {
 			return false
 		}
 		dec := X86L{}.Decode(0, b)
-		if len(dec.Uops) != 2 || dec.Size != len(b) {
+		if len(dec.Uops()) != 2 || dec.Size != len(b) {
 			return false
 		}
-		ld, ex := dec.Uops[0], dec.Uops[1]
+		ld, ex := dec.Uops()[0], dec.Uops()[1]
 		return ld.Kind == KindLoad && ld.Src1 == s && ld.Imm == int64(disp) &&
 			ex.Alu == op && ex.Dst == d
 	}
@@ -777,13 +778,47 @@ func TestDecodedSizesCoverStream(t *testing.T) {
 			if d.Size <= 0 || d.Size > a.MaxInstLen() {
 				t.Fatalf("%s: bad size %d at %d", a.Name(), d.Size, pos)
 			}
-			if len(d.Uops) == 0 {
+			if len(d.Uops()) == 0 {
 				t.Fatalf("%s: no uops at %d", a.Name(), pos)
 			}
-			if !d.Uops[len(d.Uops)-1].Last {
+			if !d.Uops()[len(d.Uops())-1].Last {
 				t.Fatalf("%s: last uop not marked at %d", a.Name(), pos)
 			}
 			pos += d.Size
 		}
 	}
+}
+
+// TestDecodeZeroAlloc requires decoding to allocate nothing on any ISA:
+// micro-ops live inline in Decoded. The stream mixes random bytes (legal
+// and illegal forms) with the longest cracks.
+func TestDecodeZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	soup := make([]byte, 4096)
+	rng.Read(soup)
+	movk, _ := ArmMovW(true, 3, 1, 0xBEEF)
+	cracks := map[string][]byte{
+		"x86":   append(X86Div(true, 3), mustX86(X86ALUrm(AluAdd, 2, 5, 0x1234))...),
+		"arm":   le(movk),
+		"riscv": nil,
+	}
+	for _, a := range All() {
+		stream := append(append(append([]byte(nil), cracks[a.Name()]...), soup...), make([]byte, a.MaxInstLen())...)
+		allocs := testing.AllocsPerRun(10, func() {
+			for pos := 0; pos < len(stream)-a.MaxInstLen(); {
+				d := a.Decode(uint64(pos), stream[pos:pos+a.MaxInstLen()])
+				pos += d.Size
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per decoded stream, want 0", a.Name(), allocs)
+		}
+	}
+}
+
+func mustX86(b []byte, ok bool) []byte {
+	if !ok {
+		panic("encode failed")
+	}
+	return b
 }

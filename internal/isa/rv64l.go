@@ -287,11 +287,8 @@ func signExtend(v uint64, bits uint) int64 {
 
 // Decode implements Arch.
 func (a RV64L) Decode(pc uint64, b []byte) Decoded {
-	illu := NewUop(pc, pc+4)
-	illu.Kind, illu.Last = KindIllegal, true
-	illegal := Decoded{Uops: []MicroOp{illu}, Size: 4}
 	if len(b) < 4 {
-		return illegal
+		return illegalOp(pc, 4)
 	}
 	w := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 	op := w & 0x7F
@@ -327,7 +324,7 @@ func (a RV64L) Decode(pc uint64, b []byte) Decoded {
 			case 7:
 				u.Kind, u.Alu = KindDiv, AluRemU
 			default:
-				return illegal
+				return illegalOp(pc, 4)
 			}
 		default:
 			switch f3 {
@@ -404,11 +401,11 @@ func (a RV64L) Decode(pc uint64, b []byte) Decoded {
 		case 6:
 			u.MemBytes = 4
 		default:
-			return illegal
+			return illegalOp(pc, 4)
 		}
 	case rvOpStore:
 		if f3 > 3 {
-			return illegal
+			return illegalOp(pc, 4)
 		}
 		imm := signExtend(uint64(w>>25<<5|w>>7&0x1F), 12)
 		u.Kind, u.Src1, u.Src3, u.Imm = KindStore, rs1, rs2, imm
@@ -416,7 +413,7 @@ func (a RV64L) Decode(pc uint64, b []byte) Decoded {
 	case rvOpBranch:
 		c, ok := rvCondFromF3(f3)
 		if !ok {
-			return illegal
+			return illegalOp(pc, 4)
 		}
 		off := signExtend(uint64(w>>31&1)<<12|uint64(w>>7&1)<<11|
 			uint64(w>>25&0x3F)<<5|uint64(w>>8&0xF)<<1, 13)
@@ -435,7 +432,7 @@ func (a RV64L) Decode(pc uint64, b []byte) Decoded {
 		u.Target = pc + uint64(off)
 	case rvOpJalr:
 		if f3 != 0 {
-			return illegal
+			return illegalOp(pc, 4)
 		}
 		u.Kind, u.Dst, u.Src1 = KindJumpReg, rd, rs1
 		if rd == RvZero {
@@ -444,7 +441,7 @@ func (a RV64L) Decode(pc uint64, b []byte) Decoded {
 		u.Imm = signExtend(uint64(w>>20), 12)
 	case rvOpSys:
 		if f3 != 0 {
-			return illegal
+			return illegalOp(pc, 4)
 		}
 		switch w >> 20 & 0xFFF {
 		case MagicExit:
@@ -456,15 +453,15 @@ func (a RV64L) Decode(pc uint64, b []byte) Decoded {
 		case 3:
 			u.Kind = KindWFI
 		default:
-			return illegal
+			return illegalOp(pc, 4)
 		}
 	default:
-		return illegal
+		return illegalOp(pc, 4)
 	}
 
 	// Writes to the zero register are discarded.
 	if u.Dst == RvZero {
 		u.Dst = NoReg
 	}
-	return Decoded{Uops: []MicroOp{u}, Size: 4}
+	return decoded(4, u)
 }

@@ -339,25 +339,28 @@ func X86Magic(sel byte) []byte { return []byte{0x0F, 0x04, sel} }
 // start of b; undecodable bytes consume a single byte, which is what makes
 // X86L decode desynchronization possible under instruction-cache faults.
 func (a X86L) Decode(pc uint64, b []byte) Decoded {
-	d := &x86Dec{pc: pc, b: b}
-	return d.decode()
+	d := x86Dec{pc: pc, b: b}
+	return *d.decode()
 }
 
+// x86Dec is one instruction's decode in progress. Its methods build the
+// result in out and return a pointer to it, so the decode copies the
+// micro-ops once instead of once per call level.
 type x86Dec struct {
 	pc  uint64
 	b   []byte
 	i   int
 	rex byte
+	out Decoded
 }
 
-func (d *x86Dec) illegal() Decoded {
+func (d *x86Dec) illegal() *Decoded {
 	size := d.i
 	if size == 0 {
 		size = 1
 	}
-	u := NewUop(d.pc, d.pc+uint64(size))
-	u.Kind, u.Last = KindIllegal, true
-	return Decoded{Uops: []MicroOp{u}, Size: size}
+	d.out = illegalOp(d.pc, size)
+	return &d.out
 }
 
 func (d *x86Dec) byteAt() (byte, bool) {
@@ -417,16 +420,17 @@ func (d *x86Dec) imm32() (int64, bool) {
 func (d *x86Dec) newUop() MicroOp { return NewUop(d.pc, 0) }
 
 // finish stamps NextPC on every uop and marks the last one.
-func (d *x86Dec) finish(uops ...MicroOp) Decoded {
+func (d *x86Dec) finish(uops ...MicroOp) *Decoded {
 	next := d.pc + uint64(d.i)
 	for i := range uops {
 		uops[i].NextPC = next
 		uops[i].Last = i == len(uops)-1
 	}
-	return Decoded{Uops: uops, Size: d.i}
+	d.out = decoded(d.i, uops...)
+	return &d.out
 }
 
-func (d *x86Dec) decode() Decoded {
+func (d *x86Dec) decode() *Decoded {
 	op, ok := d.byteAt()
 	if !ok {
 		return d.illegal()
@@ -616,7 +620,7 @@ func (d *x86Dec) decode() Decoded {
 	}
 }
 
-func (d *x86Dec) decode0F() Decoded {
+func (d *x86Dec) decode0F() *Decoded {
 	op2, ok := d.byteAt()
 	if !ok {
 		return d.illegal()
@@ -697,18 +701,16 @@ func (d *x86Dec) decode0F() Decoded {
 		if !ok {
 			return d.illegal()
 		}
-		src := rm
-		var pre []MicroOp
+		u := d.newUop()
+		u.Kind, u.Alu, u.Cond = KindALU, AluSelect, c
+		u.Dst, u.Src1, u.Src2, u.Src3 = reg, rm, reg, X86Flags
 		if isMem {
 			ld := d.newUop()
 			ld.Kind, ld.Dst, ld.Src1, ld.Imm, ld.MemBytes = KindLoad, X86T0, rm, disp, 8
-			pre = append(pre, ld)
-			src = X86T0
+			u.Src1 = X86T0
+			return d.finish(ld, u)
 		}
-		u := d.newUop()
-		u.Kind, u.Alu, u.Cond = KindALU, AluSelect, c
-		u.Dst, u.Src1, u.Src2, u.Src3 = reg, src, reg, X86Flags
-		return d.finish(append(pre, u)...)
+		return d.finish(u)
 	case op2 == 0xB6 || op2 == 0xB7 || op2 == 0xBE || op2 == 0xBF: // narrow loads
 		reg, rm, isMem, disp, ok := d.modRM()
 		if !ok || !isMem {
@@ -775,7 +777,7 @@ func x86DigitALU(digit byte) (AluOp, bool) {
 // aluRegForm builds the micro-ops for a 2-operand ALU instruction whose
 // second operand may be memory. op is the original opcode byte's ALU op;
 // the caller already parsed modrm.
-func (d *x86Dec) aluRegForm(alu AluOp, reg, rm Reg, isMem bool, disp int64) Decoded {
+func (d *x86Dec) aluRegForm(alu AluOp, reg, rm Reg, isMem bool, disp int64) *Decoded {
 	dstInRM := x86IsStoreForm(d.opByte())
 	flags := alu == AluFlags
 
@@ -830,7 +832,7 @@ func (d *x86Dec) opByte() byte {
 }
 
 // aluImmForm builds micro-ops for ALU r/m, imm.
-func (d *x86Dec) aluImmForm(alu AluOp, rm Reg, isMem bool, disp int64, imm int64) Decoded {
+func (d *x86Dec) aluImmForm(alu AluOp, rm Reg, isMem bool, disp int64, imm int64) *Decoded {
 	flags := alu == AluFlags
 	if !isMem {
 		u := d.newUop()

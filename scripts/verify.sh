@@ -15,10 +15,11 @@
 #      sizing must be schedule-independent and a bit-identical prefix of
 #      the fixed-budget run, and must demonstrably save >= 30% of the
 #      worst-case budget at equal margin
-#   4. observability guard: tracing and profiling must be zero-alloc on
-#      the golden path and must not perturb verdict streams; the sweep's
-#      Chrome-trace timeline export must satisfy the format's schema
-#      invariants
+#   4. zero-alloc + observability guard: a warm simulated cycle must
+#      allocate nothing on any ISA; tracing and profiling must be
+#      zero-alloc on the golden path and must not perturb verdict streams;
+#      the sweep's Chrome-trace timeline export must satisfy the format's
+#      schema invariants
 #   5. bench guard: the forking ablations and tracing-overhead benches
 #      compile and run, the checkpoint ladder demonstrably cuts
 #      pre-injection replay at least 2x on a long-window workload, and
@@ -132,10 +133,11 @@ go test -race -run 'TestRegistryConcurrentAdds|TestServeDebugEndpoints' ./intern
 go test -race ./internal/obs
 
 # Guard: the differential suite (sweep cell ≡ standalone campaign, traced
-# campaign ≡ untraced campaign, proven by verdict-stream digests) must
-# exist and actually run — a refactor that renames or drops it would
-# otherwise silently void the bit-identity guarantee.
-for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume; do
+# campaign ≡ untraced campaign, proven by verdict-stream digests, and CPU
+# cell digests ≡ values pinned on an earlier commit) must exist and
+# actually run — a refactor that renames or drops it would otherwise
+# silently void the bit-identity guarantee.
+for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCPUDigestsPinned; do
 	go test -run "^${t}\$" -v ./internal/sweep | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: differential guard: ${t} did not run/pass" >&2
 		exit 1
@@ -148,13 +150,17 @@ for t in TestTracingDoesNotChangeVerdicts TestExplainReproducesCampaignVerdict; 
 	}
 done
 
-echo "== observability guard: zero-alloc tracing + profiling =="
+echo "== zero-alloc guard: simulator step, tracing + profiling =="
 for t in TestTracerZeroAlloc TestProfilerZeroAlloc; do
 	go test -run "^${t}\$" -v ./internal/obs | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: zero-alloc observability guard: ${t} did not run/pass" >&2
 		exit 1
 	}
 done
+go test -run '^TestStepZeroAlloc$' -v ./internal/soc | grep -q -- '--- PASS: TestStepZeroAlloc' || {
+	echo "verify: zero-alloc guard: TestStepZeroAlloc did not run/pass" >&2
+	exit 1
+}
 
 # Guard: the profiling-vs-bare differentials must exist and pass on all
 # three layers (CPU engine, accelerator engine, sweep orchestrator) —
@@ -243,6 +249,7 @@ done
 
 echo "== fuzz smoke: 30s per target =="
 go test -run '^$' -fuzz '^FuzzISARoundTrip$' -fuzztime=30s ./internal/isa
+go test -run '^$' -fuzz '^FuzzDecodeWindow$' -fuzztime=30s ./internal/isa
 go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime=30s ./internal/config
 
 echo "== coverage gate: internal/server >= 80% =="
