@@ -648,3 +648,38 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 	b.ReportMetric(float64(mallocs)/float64(cycles), "allocs/simcycle")
 }
+
+// BenchmarkAccelEngine reports raw accelerator speed per MachSuite design:
+// simulated cluster cycles (DMA-in, compute, DMA-out) per host second of
+// Standalone.Run on a fresh harness, and the heap allocations per cycle
+// inside Run — the accelerator counterpart of BenchmarkSimulatorThroughput.
+func BenchmarkAccelEngine(b *testing.B) {
+	for _, spec := range machsuite.All() {
+		b.Run(spec.Name, func(b *testing.B) {
+			var ticks, mallocs uint64
+			var ms0, ms1 runtime.MemStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := accel.NewStandalone(spec.Design, spec.Task)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms0)
+				b.StartTimer()
+				err = s.Run(50_000_000)
+				b.StopTimer()
+				runtime.ReadMemStats(&ms1)
+				b.StartTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ticks += s.Cluster.Cycle()
+				mallocs += ms1.Mallocs - ms0.Mallocs
+			}
+			b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "ticks/s")
+			b.ReportMetric(float64(mallocs)/float64(ticks), "allocs/tick")
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"math"
 	"testing"
 
 	"marvel/internal/core"
@@ -294,5 +295,43 @@ func TestClusterClone(t *testing.T) {
 	}
 	if s.Cluster.TaskCycles() != c2.TaskCycles() {
 		t.Fatalf("clone diverged: %d vs %d", s.Cluster.TaskCycles(), c2.TaskCycles())
+	}
+}
+
+// TestEngineHopBound pins the per-tick terminator bound: a chain of 17
+// branch-only blocks ending in a halt-only block resolves at most 8
+// terminators per tick, so it takes 3 ticks (8+8+2), not 2.
+func TestEngineHopBound(t *testing.T) {
+	b := ir.New("hops")
+	for i := 0; i < 17; i++ {
+		next := b.NewBlock()
+		b.Br(next)
+		b.SetBlock(next)
+	}
+	b.Halt()
+	e, err := newEngine(b.MustProgram(), DefaultFUs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.start()
+	for e.tick() {
+	}
+	if !e.finished || e.cycle != 3 {
+		t.Fatalf("finished=%v after %d ticks, want true after 3", e.finished, e.cycle)
+	}
+}
+
+// TestEngineRejectsOversizedBlock: the scheduler indexes instructions
+// with int16, so a block past math.MaxInt16 instructions is an error, not
+// a silent wrap.
+func TestEngineRejectsOversizedBlock(t *testing.T) {
+	b := ir.New("huge")
+	v := b.Const(0)
+	for i := 0; i < math.MaxInt16; i++ {
+		b.Mov(v, v)
+	}
+	b.Halt()
+	if _, err := newEngine(b.MustProgram(), DefaultFUs(), nil); err == nil {
+		t.Fatal("newEngine accepted a block of more than math.MaxInt16 instructions")
 	}
 }

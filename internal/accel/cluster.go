@@ -123,8 +123,9 @@ type Cluster struct {
 	mmr [MMRCount]uint64
 
 	ph       phase
-	dmaQueue []Xfer
-	dmaPos   int // bytes moved within the current transfer
+	dmaQueue []Xfer // remaining transfers: a suffix of design.In or design.Out, never written
+	dmaPos   int    // bytes moved within the current transfer
+	dmaBuf   [DMABytesPerCycle]byte
 	cycle    uint64
 	startCyc uint64
 	doneCyc  uint64
@@ -195,7 +196,7 @@ func (c *Cluster) begin() {
 	c.ph = phDMAIn
 	c.startCyc = c.cycle
 	c.mmr[0] &^= CtrlDone
-	c.dmaQueue = append(c.dmaQueue[:0], c.design.In...)
+	c.dmaQueue = c.design.In
 	c.dmaPos = 0
 	c.fault = nil
 	if len(c.dmaQueue) == 0 {
@@ -244,6 +245,21 @@ func (c *Cluster) ScheduleFlip(bank int, bit, cycle uint64) {
 // Tick implements soc.Device: advances DMA or compute by one cycle.
 func (c *Cluster) Tick() {
 	c.cycle++
+	c.applyFlips()
+	switch c.ph {
+	case phDMAIn:
+		c.stepDMA(true)
+	case phCompute:
+		if !c.eng.tick() {
+			c.endCompute()
+		}
+	case phDMAOut:
+		c.stepDMA(false)
+	}
+}
+
+// applyFlips applies the scheduled transient flips due by this cycle.
+func (c *Cluster) applyFlips() {
 	for i := 0; i < len(c.pending); {
 		if c.pending[i].cycle <= c.cycle {
 			pf := c.pending[i]
@@ -256,27 +272,23 @@ func (c *Cluster) Tick() {
 		}
 		i++
 	}
-	switch c.ph {
-	case phDMAIn:
-		c.stepDMA(true)
-	case phCompute:
-		if !c.eng.tick() {
-			if c.eng.fault != nil {
-				c.fault = c.eng.fault
-				c.finish()
-				return
-			}
-			c.ph = phDMAOut
-			c.dmaQueue = append(c.dmaQueue[:0], c.design.Out...)
-			c.dmaPos = 0
-			if len(c.dmaQueue) == 0 {
-				c.finish()
-			} else {
-				c.tracePhase()
-			}
-		}
-	case phDMAOut:
-		c.stepDMA(false)
+}
+
+// endCompute leaves the compute phase once the engine has stopped: on an
+// engine fault the task ends, otherwise DMA-out begins.
+func (c *Cluster) endCompute() {
+	if c.eng.fault != nil {
+		c.fault = c.eng.fault
+		c.finish()
+		return
+	}
+	c.ph = phDMAOut
+	c.dmaQueue = c.design.Out
+	c.dmaPos = 0
+	if len(c.dmaQueue) == 0 {
+		c.finish()
+	} else {
+		c.tracePhase()
 	}
 }
 
@@ -306,7 +318,7 @@ func (c *Cluster) stepDMA(in bool) {
 	if n > DMABytesPerCycle {
 		n = DMABytesPerCycle
 	}
-	buf := make([]byte, n)
+	buf := c.dmaBuf[:n]
 	var err error
 	if in {
 		if err = c.host.ReadHost(hostAddr, buf); err == nil {
@@ -403,7 +415,7 @@ func (c *Cluster) MMIOWrite(addr uint64, data []byte) error {
 func (c *Cluster) ResetTo(g *Cluster) {
 	c.mmr = g.mmr
 	c.ph = g.ph
-	c.dmaQueue = append(c.dmaQueue[:0], g.dmaQueue...)
+	c.dmaQueue = g.dmaQueue
 	c.dmaPos = g.dmaPos
 	c.cycle = g.cycle
 	c.startCyc = g.startCyc
@@ -425,7 +437,6 @@ func (c *Cluster) Clone(host HostPort) *Cluster {
 		n.banks[i] = b.Clone()
 	}
 	n.eng = c.eng.clone(n.banks)
-	n.dmaQueue = append([]Xfer(nil), c.dmaQueue...)
 	n.pending = append([]pendingFault(nil), c.pending...)
 	n.Trace = nil
 	return &n

@@ -16,7 +16,9 @@
 #      the fixed-budget run, and must demonstrably save >= 30% of the
 #      worst-case budget at equal margin
 #   4. zero-alloc + observability guard: a warm simulated cycle must
-#      allocate nothing on any ISA; tracing and profiling must be
+#      allocate nothing on any ISA, nor a reset accelerator fork's whole
+#      faulty run on any design, whose event-driven scheduler must issue
+#      exactly what the scan oracle does; tracing and profiling must be
 #      zero-alloc on the golden path and must not perturb verdict streams;
 #      the sweep's Chrome-trace timeline export must satisfy the format's
 #      schema invariants
@@ -134,10 +136,10 @@ go test -race ./internal/obs
 
 # Guard: the differential suite (sweep cell ≡ standalone campaign, traced
 # campaign ≡ untraced campaign, proven by verdict-stream digests, and CPU
-# cell digests ≡ values pinned on an earlier commit) must exist and
-# actually run — a refactor that renames or drops it would otherwise
-# silently void the bit-identity guarantee.
-for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCPUDigestsPinned; do
+# and accelerator cell digests ≡ values pinned on earlier commits) must
+# exist and actually run — a refactor that renames or drops it would
+# otherwise silently void the bit-identity guarantee.
+for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCPUDigestsPinned TestAccelDigestsPinned; do
 	go test -run "^${t}\$" -v ./internal/sweep | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: differential guard: ${t} did not run/pass" >&2
 		exit 1
@@ -150,7 +152,7 @@ for t in TestTracingDoesNotChangeVerdicts TestExplainReproducesCampaignVerdict; 
 	}
 done
 
-echo "== zero-alloc guard: simulator step, tracing + profiling =="
+echo "== zero-alloc guard: simulator step, accel engine, tracing + profiling =="
 for t in TestTracerZeroAlloc TestProfilerZeroAlloc; do
 	go test -run "^${t}\$" -v ./internal/obs | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: zero-alloc observability guard: ${t} did not run/pass" >&2
@@ -159,6 +161,18 @@ for t in TestTracerZeroAlloc TestProfilerZeroAlloc; do
 done
 go test -run '^TestStepZeroAlloc$' -v ./internal/soc | grep -q -- '--- PASS: TestStepZeroAlloc' || {
 	echo "verify: zero-alloc guard: TestStepZeroAlloc did not run/pass" >&2
+	exit 1
+}
+go test -run '^TestEngineTickZeroAlloc$' -v ./internal/accel | grep -q -- '--- PASS: TestEngineTickZeroAlloc' || {
+	echo "verify: zero-alloc guard: TestEngineTickZeroAlloc did not run/pass" >&2
+	exit 1
+}
+
+# Guard: the accelerator scheduler ≡ scan-oracle differential must exist
+# and pass — it carries the proof that event-driven issue picks the same
+# instructions on every tick as the whole-block scan it replaced.
+go test -run '^TestSchedulerMatchesScanOracle$' -v ./internal/accel | grep -q -- '--- PASS: TestSchedulerMatchesScanOracle' || {
+	echo "verify: scheduler differential guard: TestSchedulerMatchesScanOracle did not run/pass" >&2
 	exit 1
 }
 
@@ -250,6 +264,7 @@ done
 echo "== fuzz smoke: 30s per target =="
 go test -run '^$' -fuzz '^FuzzISARoundTrip$' -fuzztime=30s ./internal/isa
 go test -run '^$' -fuzz '^FuzzDecodeWindow$' -fuzztime=30s ./internal/isa
+go test -run '^$' -fuzz '^FuzzEngineSchedule$' -fuzztime=30s ./internal/accel
 go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime=30s ./internal/config
 
 echo "== coverage gate: internal/server >= 80% =="
