@@ -337,7 +337,7 @@ func cmdSweep(args []string) error {
 		CellParallel:     *cellPar,
 		OutDir:           *out,
 	}
-	if _, err := sweep.Plan(spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return usageError{err}
 	}
 	if *resume {

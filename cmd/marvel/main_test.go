@@ -89,6 +89,10 @@ func TestValidationExitsTwo(t *testing.T) {
 		{"accel bad component", []string{"accel", "-design", "gemm", "-component", "MATRIX9", "-faults", "2"}, "no component"},
 		{"sweep empty grid", []string{"sweep", "-faults", "2"}, "empty grid"},
 		{"sweep cpu grid without targets", []string{"sweep", "-isas", "riscv", "-faults", "2"}, "needs at least one ISA and one target"},
+		{"sweep zero faults", []string{"sweep", "-isas", "riscv", "-targets", "prf", "-faults", "0"}, "fault count must be positive"},
+		{"sweep negative ladder", []string{"sweep", "-isas", "riscv", "-targets", "prf", "-faults", "2", "-ladder", "-1"}, "ladder rungs must be non-negative"},
+		{"sweep margin of one", []string{"sweep", "-isas", "riscv", "-targets", "prf", "-faults", "2", "-margin", "1"}, "target margin must be in [0, 1)"},
+		{"sweep bad preset", []string{"sweep", "-isas", "riscv", "-targets", "prf", "-faults", "2", "-preset", "bogus"}, "unknown preset"},
 		{"submit bad kind", []string{"submit", "-kind", "soc"}, "unknown -kind"},
 		{"watch without job", []string{"watch"}, "needs -job"},
 		{"campaign removed legacyclone", []string{"campaign", "-legacyclone", "-faults", "2"}, "flag provided but not defined: -legacyclone"},
@@ -102,6 +106,9 @@ func TestValidationExitsTwo(t *testing.T) {
 			}
 			if !strings.Contains(stderr, tc.want) {
 				t.Errorf("stderr %q missing %q", stderr, tc.want)
+			}
+			if strings.Contains(stderr, "marvel: marvel:") {
+				t.Errorf("stderr %q repeats the marvel: prefix", stderr)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"marvel/internal/accel"
 	"marvel/internal/campaign"
 	"marvel/internal/classify"
-	"marvel/internal/config"
 	"marvel/internal/core"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
@@ -15,24 +14,6 @@ import (
 	"marvel/internal/sweep"
 	"marvel/internal/workloads"
 )
-
-// presetFor resolves a CPU hardware preset name and applies the PhysRegs
-// override.
-func presetFor(name string, physRegs int) (config.Preset, error) {
-	var pre config.Preset
-	switch name {
-	case "", "table2":
-		pre = config.TableII()
-	case "fast":
-		pre = config.Fast()
-	default:
-		return config.Preset{}, fmt.Errorf("marvel: unknown preset %q (known: table2, fast)", name)
-	}
-	if physRegs > 0 {
-		pre = pre.WithPhysRegs(physRegs)
-	}
-	return pre, nil
-}
 
 // NewMetricsRegistry creates a campaign metrics registry to attach to
 // CampaignOptions/AccelOptions/SweepOptions.Metrics, publish under expvar
@@ -158,7 +139,7 @@ func explainCPU(o ExplainOptions) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := o.Model.internal()
+	model, err := core.ModelByName(string(o.Model))
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +147,7 @@ func explainCPU(o ExplainOptions) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := presetFor(o.Preset, o.PhysRegs)
+	pre, err := sweep.PresetFor(o.Preset, o.PhysRegs)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +201,7 @@ func explainAccel(o ExplainOptions) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := o.Model.internal()
+	model, err := core.ModelByName(string(o.Model))
 	if err != nil {
 		return nil, err
 	}

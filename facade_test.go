@@ -116,11 +116,11 @@ func TestFacadeRunSweep(t *testing.T) {
 		t.Fatalf("cells = %d, want 4", len(rep.Cells))
 	}
 	// Two goldens (arm/crc32, riscv/crc32) back four cells.
-	if rep.GoldenRuns != 2 || rep.GoldenHits != 2 {
-		t.Fatalf("golden cache: %d runs, %d hits; want 2, 2", rep.GoldenRuns, rep.GoldenHits)
+	if rep.Counters.GoldenRuns != 2 || rep.Counters.GoldenHits != 2 {
+		t.Fatalf("golden cache: %d runs, %d hits; want 2, 2", rep.Counters.GoldenRuns, rep.Counters.GoldenHits)
 	}
-	if rep.FaultsDone != 24 {
-		t.Fatalf("FaultsDone = %d, want 24", rep.FaultsDone)
+	if rep.Counters.FaultsDone != 24 {
+		t.Fatalf("FaultsDone = %d, want 24", rep.Counters.FaultsDone)
 	}
 	for _, c := range rep.Cells {
 		if c.Faults != 6 {
@@ -136,5 +136,105 @@ func TestFacadeRunSweep(t *testing.T) {
 	if last.CellsFinished != 4 || last.FaultsDone != 24 {
 		t.Fatalf("final progress %d cells / %d faults, want 4 / 24",
 			last.CellsFinished, last.FaultsDone)
+	}
+}
+
+// TestFacadeReportsPinned pins every field of the facade's campaign
+// reports — counts, AVFs, margins, golden figures, area and the
+// fork/ladder counters — on values recorded before the facade's
+// campaigns moved onto the sweep orchestrator. Workers is 1 so the
+// per-worker fork counters are schedule-independent too. Fields a want
+// literal leaves out are pinned at their zero value.
+func TestFacadeReportsPinned(t *testing.T) {
+	cpu := []struct {
+		name string
+		opts marvel.CampaignOptions
+		want marvel.Report
+	}{
+		{"single target, ladder, HVF", marvel.CampaignOptions{
+			ISA: "riscv", Workload: "crc32", Target: "prf", Faults: 16, Seed: 3,
+			ValidOnly: true, HVF: true, LadderRungs: 4, Workers: 1, Preset: "fast",
+		}, marvel.Report{
+			Workload: "crc32", ISA: "riscv", Target: "prf", Faults: 16, Masked: 15, SDC: 1,
+			AVF: 0.0625, SDCAVF: 0.0625, HVF: 0.125, HVFMeasured: true,
+			Margin: 0.24477556561902133, Z: 1.96, AchievedMargin: 0.2207926836802987,
+			Requested: 16, Batches: 1, GoldenCycles: 16846, GoldenInsts: 43555,
+			IPC: 2.585480232696189, Forks: 5, ForkReuses: 11, SetsRestored: 346, Rungs: 4,
+			RungHits: 15, ReplayedCycles: 29064,
+		}},
+		{"multi-target, 2-bit masks", marvel.CampaignOptions{
+			ISA: "arm", Workload: "crc32", Target: "prf+rob", Faults: 12, Seed: 5,
+			BitsPerFault: 2, ValidOnly: true, EarlyTermination: true, Workers: 1, Preset: "fast",
+		}, marvel.Report{
+			Workload: "crc32", ISA: "arm", Target: "prf+rob", Faults: 12, Masked: 1, Crash: 11,
+			AVF: 0.9166666666666666, CrashAVF: 0.9166666666666666,
+			Margin: 0.28275512319739465, Z: 1.96, AchievedMargin: 0.270552588465262,
+			Requested: 12, Batches: 1, GoldenCycles: 12514, GoldenInsts: 38432,
+			IPC: 3.071120345213361, Forks: 1, ForkReuses: 11, SetsRestored: 432,
+			ReplayedCycles: 24335,
+		}},
+		{"adaptive margin", marvel.CampaignOptions{
+			ISA: "x86", Workload: "crc32", Target: "prf", Model: marvel.StuckAt1, Faults: 96, Seed: 7,
+			TargetMargin: 0.15, MinFaults: 32, ValidOnly: true, LadderRungs: 4, Workers: 1, Preset: "fast",
+		}, marvel.Report{
+			Workload: "crc32", ISA: "x86", Target: "prf", Model: "stuck-at-1", Faults: 64,
+			Masked: 8, SDC: 10, Crash: 46, AVF: 0.875, SDCAVF: 0.15625, CrashAVF: 0.71875,
+			Margin: 0.12202799433047083, Z: 1.96, AchievedMargin: 0.10274786330215924,
+			Requested: 96, FaultsSaved: 32, Batches: 2, GoldenCycles: 19935,
+			GoldenInsts: 53291, IPC: 2.673238023576624, Forks: 1, ForkReuses: 63,
+			SetsRestored: 1519,
+		}},
+	}
+	for _, tc := range cpu {
+		got, err := marvel.RunCampaign(tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if *got != tc.want {
+			t.Errorf("%s:\n got  %#v\n want %#v", tc.name, *got, tc.want)
+		}
+	}
+
+	accel := []struct {
+		name string
+		opts marvel.AccelOptions
+		want marvel.AccelReport
+	}{
+		{"plain gemm", marvel.AccelOptions{
+			Design: "gemm", Component: "MATRIX1", Faults: 16, Seed: 2, LadderRungs: 4, Workers: 1,
+		}, marvel.AccelReport{
+			Design: "gemm", Component: "MATRIX1", Faults: 16, Masked: 9, SDC: 7, AVF: 0.4375,
+			SDCAVF: 0.4375, Margin: 0.24477556561902133, Z: 1.96,
+			AchievedMargin: 0.23071804393223472, Requested: 16, Batches: 1, TaskCycles: 5843,
+			AreaUnits: 35.699999999999996, Forks: 5, ForkReuses: 11, PagesCopied: 16, Rungs: 4,
+			RungHits: 14, ReplayedCycles: 11301,
+		}},
+		{"gemm with 4 multipliers", marvel.AccelOptions{
+			Design: "gemm", Component: "MATRIX1", Faults: 16, Seed: 2, GemmMultipliers: 4, Workers: 1,
+		}, marvel.AccelReport{
+			Design: "gemm", Component: "MATRIX1", Faults: 16, Masked: 9, SDC: 7, AVF: 0.4375,
+			SDCAVF: 0.4375, Margin: 0.24477556561902133, Z: 1.96,
+			AchievedMargin: 0.23071804393223472, Requested: 16, Batches: 1, TaskCycles: 5843,
+			AreaUnits: 35.699999999999996, Forks: 1, ForkReuses: 15, PagesCopied: 16,
+			ReplayedCycles: 53364,
+		}},
+		{"gemm with 1 multiplier", marvel.AccelOptions{
+			Design: "gemm", Component: "MATRIX1", Faults: 16, Seed: 2, GemmMultipliers: 1, Workers: 1,
+		}, marvel.AccelReport{
+			Design: "gemm", Component: "MATRIX1", Faults: 16, Masked: 7, SDC: 9, AVF: 0.5625,
+			SDCAVF: 0.5625, Margin: 0.24477556561902133, Z: 1.96,
+			AchievedMargin: 0.23071804393223483, Requested: 16, Batches: 1, TaskCycles: 17637,
+			AreaUnits: 19.199999999999996, Forks: 1, ForkReuses: 15, PagesCopied: 16,
+			ReplayedCycles: 152437,
+		}},
+	}
+	for _, tc := range accel {
+		got, err := marvel.RunAccelCampaign(tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if *got != tc.want {
+			t.Errorf("%s:\n got  %#v\n want %#v", tc.name, *got, tc.want)
+		}
 	}
 }

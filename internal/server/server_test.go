@@ -242,6 +242,29 @@ func TestJobIDDeterministic(t *testing.T) {
 	if a.ID() == d.ID() {
 		t.Fatalf("different kinds collided on ID %s", a.ID())
 	}
+
+	// IDs recorded on an earlier release: a resubmitted spec must keep
+	// mapping to the same job across upgrades, so the request's JSON
+	// encoding is part of the service contract.
+	sw := Request{Kind: KindSweep, Sweep: &marvel.SweepOptions{
+		ISAs: []string{"arm", "riscv"}, Workloads: []string{"crc32"}, Targets: []string{"prf", "prf+rob"},
+		Designs: []string{"gemm"}, Components: []string{"MATRIX1"},
+		Faults: 6, Seed: 11, TargetMargin: 0.1, Confidence: 2.5, MinFaults: 4, MaxFaults: 12,
+		BitsPerFault: 2, ValidOnly: true, HVF: true, EarlyTermination: true, WatchdogFactor: 2.5,
+		PhysRegs: 96, Preset: "fast", LadderRungs: 4, Workers: 3, CellParallel: 2,
+	}}
+	for _, tc := range []struct {
+		req  Request
+		want string
+	}{
+		{a, "j-29f0a8f02cf067cf"},
+		{d, "j-6da85ae5dc923d0d"},
+		{sw, "j-1462bc85fcb2a6b4"},
+	} {
+		if got := tc.req.ID(); got != tc.want {
+			t.Errorf("%s job ID = %s, want %s", tc.req.Kind, got, tc.want)
+		}
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {

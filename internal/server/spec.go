@@ -109,92 +109,22 @@ func (r Request) ID() string {
 	return fmt.Sprintf("j-%016x", h.Sum64())
 }
 
-// grid translates the request into the sweep grid that executes it. A
-// campaign or accel job becomes a one-cell grid, which is what buys the
-// service its differential guarantee: the cell runs through exactly the
-// code path the sweep differential suite proves bit-identical to a
-// standalone campaign.
+// grid is the sweep grid that executes the request. A campaign or
+// accel job becomes its options' one-cell grid — the same grid the
+// facade runs offline — which is what buys the service its
+// differential guarantee: the cell runs through exactly the code path
+// the sweep differential suite proves bit-identical to a standalone
+// campaign.
 func (r Request) grid() sweep.Spec {
 	switch r.Kind {
 	case KindCampaign:
-		o := r.Campaign
-		return sweep.Spec{
-			ISAs:             []string{o.ISA},
-			Workloads:        []string{o.Workload},
-			Targets:          []string{o.Target},
-			Models:           []string{modelName(o.Model)},
-			Faults:           o.Faults,
-			Seed:             o.Seed,
-			TargetMargin:     o.TargetMargin,
-			Confidence:       o.Confidence,
-			MinFaults:        o.MinFaults,
-			MaxFaults:        o.MaxFaults,
-			BitsPerFault:     o.BitsPerFault,
-			ValidOnly:        o.ValidOnly,
-			HVF:              o.HVF,
-			EarlyTermination: o.EarlyTermination,
-			WatchdogFactor:   o.WatchdogFactor,
-			PhysRegs:         o.PhysRegs,
-			Preset:           o.Preset,
-			LadderRungs:      o.LadderRungs,
-			Workers:          o.Workers,
-			CellParallel:     1,
-		}
+		return r.Campaign.Sweep()
 	case KindAccel:
-		o := r.Accel
-		return sweep.Spec{
-			Designs:      []string{o.Design},
-			Components:   []string{o.Component},
-			Models:       []string{modelName(o.Model)},
-			Faults:       o.Faults,
-			Seed:         o.Seed,
-			TargetMargin: o.TargetMargin,
-			Confidence:   o.Confidence,
-			MinFaults:    o.MinFaults,
-			MaxFaults:    o.MaxFaults,
-			Workers:      o.Workers,
-			LadderRungs:  o.LadderRungs,
-			CellParallel: 1,
-		}
+		return r.Accel.Sweep()
 	case KindSweep:
-		o := r.Sweep
-		models := make([]string, len(o.Models))
-		for i, m := range o.Models {
-			models[i] = modelName(m)
-		}
-		return sweep.Spec{
-			ISAs:             o.ISAs,
-			Workloads:        o.Workloads,
-			Targets:          o.Targets,
-			Designs:          o.Designs,
-			Components:       o.Components,
-			Models:           models,
-			Faults:           o.Faults,
-			Seed:             o.Seed,
-			TargetMargin:     o.TargetMargin,
-			Confidence:       o.Confidence,
-			MinFaults:        o.MinFaults,
-			MaxFaults:        o.MaxFaults,
-			BitsPerFault:     o.BitsPerFault,
-			ValidOnly:        o.ValidOnly,
-			HVF:              o.HVF,
-			EarlyTermination: o.EarlyTermination,
-			WatchdogFactor:   o.WatchdogFactor,
-			PhysRegs:         o.PhysRegs,
-			Preset:           o.Preset,
-			LadderRungs:      o.LadderRungs,
-			Workers:          o.Workers,
-			CellParallel:     o.CellParallel,
-		}
+		return *r.Sweep
 	}
 	panic("server: grid on unvalidated request")
-}
-
-func modelName(m marvel.FaultModel) string {
-	if m == "" {
-		m = marvel.Transient
-	}
-	return string(m)
 }
 
 // TotalFaults is the job's budgeted fault count (cells × budget per

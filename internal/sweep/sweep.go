@@ -110,8 +110,9 @@ type Spec struct {
 	// OnProgress, when non-nil, observes live counters. It is called
 	// from worker goroutines (serialized by the orchestrator) on cell
 	// start/finish and on every classified fault; it must be fast and
-	// must not block.
-	OnProgress func(Snapshot)
+	// must not block. Never serialized, like every field below it: a
+	// Spec's JSON encoding is the grid alone.
+	OnProgress func(Snapshot) `json:"-"`
 
 	// OnVerdict, when non-nil, observes every classified fault of every
 	// executed cell together with the cell it belongs to and its mask
@@ -119,20 +120,20 @@ type Spec struct {
 	// called concurrently from campaign workers and must be safe for
 	// that; it must not block. Cells restored from the resume journal do
 	// not replay verdicts.
-	OnVerdict func(cell Cell, index int, v classify.Verdict)
+	OnVerdict func(cell Cell, index int, v classify.Verdict) `json:"-"`
 
 	// Goldens, when non-nil, replaces the sweep's per-run golden memo
 	// with an external cache, letting several sweeps (the campaign
 	// service's jobs) share prepared goldens. A nil Goldens keeps the
 	// default: a cache that lives and dies with this Run call.
-	Goldens GoldenCache
+	Goldens GoldenCache `json:"-"`
 
 	// Metrics, when non-nil, receives live counter updates (verdict mix,
 	// fork reuse, golden-cache hits, per-cell latency) as the sweep runs —
 	// the registry behind the CLI's -debug-addr endpoint. Updates are
 	// lock-free atomic adds, so attaching a registry does not serialize
 	// workers.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 
 	// Profile, when non-nil, attributes wall-clock time to phases
 	// (golden prep, ladder, fork/reset/replay/faulty/classify inside
@@ -141,7 +142,7 @@ type Spec struct {
 	// -timeline flag). Purely observational: verdicts and digests are
 	// bit-identical with profiling on or off. Excluded from the resume
 	// manifest's grid identity.
-	Profile *obs.Profiler
+	Profile *obs.Profiler `json:"-"`
 }
 
 // Cell kinds.
@@ -214,6 +215,10 @@ type CellReport struct {
 	Digest string `json:"digest"`
 
 	WallMS int64 `json:"wallMs"`
+
+	// Forking holds the cell's fork, reuse and ladder counters. It is not
+	// journaled, so a cell restored on resume reports zeros.
+	Forking dispatch.ForkStats `json:"-"`
 }
 
 // Counters aggregates orchestration-level observability for one sweep.
@@ -259,10 +264,15 @@ func Plan(spec Spec) ([]Cell, error) {
 	if len(models) == 0 {
 		models = []string{core.Transient.String()}
 	}
-	for _, m := range models {
-		if _, err := core.ModelByName(m); err != nil {
+	// Canonical names ("" plans as "transient"), so a cell's key does not
+	// depend on how the caller spelled the default model.
+	models = append([]string(nil), models...)
+	for i, m := range models {
+		model, err := core.ModelByName(m)
+		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
+		models[i] = model.String()
 	}
 
 	var cells []Cell
@@ -285,7 +295,7 @@ func Plan(spec Spec) ([]Cell, error) {
 			}
 		}
 		for _, tgt := range spec.Targets {
-			if err := ValidateTarget(tgt); err != nil {
+			if _, err := SplitTarget(tgt); err != nil {
 				return nil, err
 			}
 		}
@@ -348,17 +358,6 @@ func Plan(spec Spec) ([]Cell, error) {
 	return cells, nil
 }
 
-// ValidateTarget checks a CPU target spec, which may be a single
-// structure ("prf") or a multi-structure combination ("prf+rob+iq").
-func ValidateTarget(tgt string) error {
-	parts, err := SplitTarget(tgt)
-	if err != nil {
-		return err
-	}
-	_ = parts
-	return nil
-}
-
 // SplitTarget parses a CPU target spec into its structure list,
 // validating every name against campaign.CPUTargets and rejecting
 // duplicates. A single-structure spec returns a one-element list.
@@ -388,25 +387,54 @@ func SplitTarget(tgt string) ([]string, error) {
 	return parts, nil
 }
 
-// presetByName resolves Spec.Preset.
-func presetByName(name string) (config.Preset, error) {
+// PresetFor resolves a CPU hardware preset name ("" or "table2" is the
+// paper's Table II, "fast" the scaled-down test preset) and applies a
+// PhysRegs override when physRegs > 0.
+func PresetFor(name string, physRegs int) (config.Preset, error) {
+	var pre config.Preset
 	switch name {
 	case "", "table2":
-		return config.TableII(), nil
+		pre = config.TableII()
 	case "fast":
-		return config.Fast(), nil
+		pre = config.Fast()
+	default:
+		return config.Preset{}, fmt.Errorf("sweep: unknown preset %q (known: table2, fast)", name)
 	}
-	return config.Preset{}, fmt.Errorf("sweep: unknown preset %q (known: table2, fast)", name)
+	if physRegs > 0 {
+		pre = pre.WithPhysRegs(physRegs)
+	}
+	return pre, nil
+}
+
+// Validate checks the whole spec without running anything: it plans the
+// grid (resolving every name), applies the engines' shared sizing rule
+// and resolves the hardware preset. Run performs exactly these checks.
+func (spec Spec) Validate() error {
+	_, _, err := spec.resolve()
+	return err
+}
+
+// resolve is Validate returning the planned cells and the CPU preset.
+func (spec Spec) resolve() ([]Cell, config.Preset, error) {
+	cells, err := Plan(spec)
+	if err != nil {
+		return nil, config.Preset{}, err
+	}
+	if err := dispatch.ValidateSizing(spec.Faults, spec.LadderRungs, spec.TargetMargin, spec.Confidence, spec.MinFaults, spec.MaxFaults); err != nil {
+		return nil, config.Preset{}, fmt.Errorf("sweep: %w", err)
+	}
+	pre, err := PresetFor(spec.Preset, spec.PhysRegs)
+	if err != nil {
+		return nil, config.Preset{}, err
+	}
+	return cells, pre, nil
 }
 
 // Run plans and executes the sweep.
 func Run(spec Spec) (_ *Result, err error) {
-	cells, err := Plan(spec)
+	cells, pre, err := spec.resolve()
 	if err != nil {
 		return nil, err
-	}
-	if err := dispatch.ValidateSizing(spec.Faults, spec.LadderRungs, spec.TargetMargin, spec.Confidence, spec.MinFaults, spec.MaxFaults); err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	if spec.Workers <= 0 {
 		spec.Workers = runtime.GOMAXPROCS(0)
@@ -448,13 +476,6 @@ func Run(spec Spec) (_ *Result, err error) {
 	res := &Result{Cells: make([]CellReport, len(cells))}
 	res.Counters.CellsPlanned = len(cells)
 
-	pre, err := presetByName(spec.Preset)
-	if err != nil {
-		return nil, err
-	}
-	if spec.PhysRegs > 0 {
-		pre = pre.WithPhysRegs(spec.PhysRegs)
-	}
 	goldens := spec.Goldens
 	if goldens == nil {
 		goldens = NewRunCache()
@@ -491,7 +512,7 @@ func Run(spec Spec) (_ *Result, err error) {
 					continue // drain the queue after a failure
 				}
 				tr.cellStarted(key)
-				rep, hit, fc, err := runCell(spec, pre, cell, perCell, goldens, tr)
+				rep, hit, err := runCell(spec, pre, cell, perCell, goldens, tr)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
@@ -509,6 +530,7 @@ func Run(spec Spec) (_ *Result, err error) {
 				}
 				res.Counters.EarlyStops += int64(rep.EarlyStops)
 				res.Counters.FaultsSaved += int64(rep.FaultsSaved)
+				fc := rep.Forking
 				res.Counters.Forks += fc.Forks
 				res.Counters.ForkReuses += fc.ReuseHits
 				res.Counters.RungHits += fc.RungHits
@@ -558,10 +580,9 @@ func Run(spec Spec) (_ *Result, err error) {
 }
 
 // runCell executes one cell, preparing (or reusing) its golden phase.
-// hit reports whether the golden came from the cache; fc carries the
-// cell's forking/ladder totals back to Run.
+// hit reports whether the golden came from the cache.
 func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
-	goldens GoldenCache, tr *tracker) (rep *CellReport, hit bool, fc dispatch.ForkStats, err error) {
+	goldens GoldenCache, tr *tracker) (rep *CellReport, hit bool, err error) {
 
 	t0 := time.Now() //marvel:allow determinism per-cell wall attribution; never enters the cell's verdicts
 	onVerdict := tr.onVerdict
@@ -582,12 +603,12 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 			return BuildCPUGolden(cell.ISA, cell.Workload, pre)
 		})
 		if err != nil {
-			return nil, false, fc, err
+			return nil, false, err
 		}
 		model, _ := core.ModelByName(cell.Model)
 		targets, err := SplitTarget(cell.Target)
 		if err != nil {
-			return nil, false, fc, err
+			return nil, false, err
 		}
 		cfg := campaign.Config{
 			Image:            g.Image,
@@ -618,10 +639,10 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 		}
 		cres, err := campaign.RunWithGolden(cfg, g.Golden)
 		if err != nil {
-			return nil, false, fc, err
+			return nil, false, err
 		}
-		rep = cellReport(cell, cres.Summary, cres.Golden.Cycles, cres.TargetBits, DigestCPURecords(cres.Records), t0)
-		return rep, hit, cres.Forking, nil
+		rep = cellReport(cell, cres.Summary, cres.Forking, cres.Golden.Cycles, cres.TargetBits, DigestCPURecords(cres.Records), t0)
+		return rep, hit, nil
 
 	case KindAccel:
 		g, hit, err := goldens.AccelGolden(AccelGoldenKey(cell.Design), func() (*AccelGolden, error) {
@@ -630,7 +651,7 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 			return BuildAccelGolden(cell.Design)
 		})
 		if err != nil {
-			return nil, false, fc, err
+			return nil, false, err
 		}
 		model, _ := core.ModelByName(cell.Model)
 		ares, err := accel.RunCampaignWithGolden(accel.CampaignConfig{
@@ -651,18 +672,18 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 			Profile:        spec.Profile,
 		}, g.Golden)
 		if err != nil {
-			return nil, false, fc, err
+			return nil, false, err
 		}
-		rep = cellReport(cell, ares.Summary, ares.GoldenCycles, ares.TargetBits, DigestAccelRecords(ares.Records), t0)
-		return rep, hit, ares.Forking, nil
+		rep = cellReport(cell, ares.Summary, ares.Forking, ares.GoldenCycles, ares.TargetBits, DigestAccelRecords(ares.Records), t0)
+		return rep, hit, nil
 	}
-	return nil, false, fc, fmt.Errorf("sweep: unknown cell kind %q", cell.Kind)
+	return nil, false, fmt.Errorf("sweep: unknown cell kind %q", cell.Kind)
 }
 
 // cellReport converts one cell's campaign outcome — the dispatch kernel's
-// summary plus the engine's golden length, target size and record digest
-// — into the persisted form.
-func cellReport(cell Cell, sum dispatch.Summary, goldenCycles, targetBits uint64, digest string, t0 time.Time) *CellReport {
+// summary and fork counters plus the engine's golden length, target size
+// and record digest — into the persisted form.
+func cellReport(cell Cell, sum dispatch.Summary, fc dispatch.ForkStats, goldenCycles, targetBits uint64, digest string, t0 time.Time) *CellReport {
 	r := &CellReport{
 		Key:            cell.Key(),
 		Cell:           cell,
@@ -684,6 +705,7 @@ func cellReport(cell Cell, sum dispatch.Summary, goldenCycles, targetBits uint64
 		TargetBits:     targetBits,
 		Digest:         digest,
 		WallMS:         time.Since(t0).Milliseconds(), //marvel:allow determinism wall attribution metadata
+		Forking:        fc,
 	}
 	if sum.Counts.HVFMeasured() {
 		r.HVFMeasured = true

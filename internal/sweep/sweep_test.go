@@ -84,6 +84,41 @@ func TestPlanCrossProductAndOrder(t *testing.T) {
 	}
 }
 
+// TestSpecValidate: Validate adds the sizing rule and preset resolution
+// to Plan's name checks, so a spec it accepts never fails Run's checks.
+func TestSpecValidate(t *testing.T) {
+	ok := sweep.Spec{ISAs: []string{"riscv"}, Workloads: []string{"crc32"}, Targets: []string{"prf"}, Faults: 4}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
+	}
+	for name, edit := range map[string]func(*sweep.Spec){
+		"plan":   func(s *sweep.Spec) { s.Targets = nil },
+		"sizing": func(s *sweep.Spec) { s.LadderRungs = -1 },
+		"preset": func(s *sweep.Spec) { s.Preset = "bogus" },
+	} {
+		s := ok
+		edit(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: bad spec accepted", name)
+		}
+		if _, err := sweep.Run(s); err == nil {
+			t.Errorf("%s: Run accepted a spec Validate rejects", name)
+		}
+	}
+}
+
+// TestPlanNormalizesModelNames: an empty model name plans as the
+// transient default, so the cell key is the same either way.
+func TestPlanNormalizesModelNames(t *testing.T) {
+	cells, err := sweep.Plan(sweep.Spec{ISAs: []string{"arm"}, Workloads: []string{"sha"}, Targets: []string{"prf"}, Models: []string{""}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cells[0].Key(), "cpu/arm/sha/prf/transient"; got != want {
+		t.Fatalf("key = %s, want %s", got, want)
+	}
+}
+
 // demoSpec is the acceptance-criteria grid: 2 ISAs × 3 workloads ×
 // 2 targets (one of them multi-structure), scaled for test time.
 func demoSpec(t testing.TB, dir string) sweep.Spec {

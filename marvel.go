@@ -17,18 +17,20 @@
 //
 // This root package is the stable facade: examples, tools and downstream
 // users drive campaigns through it without touching internal packages.
+// Every campaign entry point runs through the sweep orchestrator's Run:
+// RunSweep passes its grid straight on, and RunCampaign/RunAccelCampaign
+// run the one-cell grid their options translate to (CampaignOptions.Sweep,
+// AccelOptions.Sweep) — the same grid the campaign service executes for a
+// submitted job, so offline and served campaigns share one code path.
 package marvel
 
 import (
 	"fmt"
-	"time"
 
 	"marvel/internal/accel"
 	"marvel/internal/campaign"
-	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
-	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
 	"marvel/internal/metrics"
@@ -58,18 +60,6 @@ const (
 	StuckAt0  FaultModel = "stuck-at-0"
 	StuckAt1  FaultModel = "stuck-at-1"
 )
-
-func (m FaultModel) internal() (core.Model, error) {
-	switch m {
-	case "", Transient:
-		return core.Transient, nil
-	case StuckAt0:
-		return core.StuckAt0, nil
-	case StuckAt1:
-		return core.StuckAt1, nil
-	}
-	return 0, fmt.Errorf("marvel: unknown fault model %q", m)
-}
 
 // WorkloadNames lists the fifteen MiBench-style benchmarks.
 func WorkloadNames() []string { return workloads.Names() }
@@ -178,35 +168,41 @@ type CampaignOptions struct {
 	Profile *obs.Profiler `json:"-"`
 }
 
-// Validate resolves every name in the options without running anything:
-// the CLI fails fast with a usage error and the campaign service rejects
-// a bad submission with 400 before it ever reaches the queue.
-func (o CampaignOptions) Validate() error {
-	if _, err := isa.ByName(o.ISA); err != nil {
-		return err
+// Sweep translates the options into the one-cell sweep grid that runs
+// them. It is the only path from campaign options to an engine:
+// RunCampaign and the campaign service both execute this grid.
+func (o CampaignOptions) Sweep() SweepOptions {
+	return SweepOptions{
+		ISAs:             []string{o.ISA},
+		Workloads:        []string{o.Workload},
+		Targets:          []string{o.Target},
+		Models:           []string{string(o.Model)},
+		Faults:           o.Faults,
+		Seed:             o.Seed,
+		TargetMargin:     o.TargetMargin,
+		Confidence:       o.Confidence,
+		MinFaults:        o.MinFaults,
+		MaxFaults:        o.MaxFaults,
+		BitsPerFault:     o.BitsPerFault,
+		ValidOnly:        o.ValidOnly,
+		HVF:              o.HVF,
+		EarlyTermination: o.EarlyTermination,
+		WatchdogFactor:   o.WatchdogFactor,
+		PhysRegs:         o.PhysRegs,
+		Preset:           o.Preset,
+		LadderRungs:      o.LadderRungs,
+		Workers:          o.Workers,
+		CellParallel:     1,
+		Metrics:          o.Metrics,
+		Profile:          o.Profile,
 	}
-	if _, err := workloads.ByName(o.Workload); err != nil {
-		return err
-	}
-	if _, err := o.Model.internal(); err != nil {
-		return err
-	}
-	if _, err := presetFor(o.Preset, o.PhysRegs); err != nil {
-		return err
-	}
-	if _, err := sweep.SplitTarget(o.Target); err != nil {
-		return err
-	}
-	return validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults)
 }
 
-// validateSizing applies the campaign engines' shared sizing rule.
-func validateSizing(faults, ladderRungs int, margin, confidence float64, minFaults, maxFaults int) error {
-	if err := dispatch.ValidateSizing(faults, ladderRungs, margin, confidence, minFaults, maxFaults); err != nil {
-		return fmt.Errorf("marvel: %w", err)
-	}
-	return nil
-}
+// Validate resolves every name and checks the sizing knobs without
+// running anything: the CLI fails fast with a usage error and the
+// campaign service rejects a bad submission with 400 before it ever
+// reaches the queue.
+func (o CampaignOptions) Validate() error { return o.Sweep().Validate() }
 
 // Report is the outcome of a CPU campaign.
 type Report struct {
@@ -262,105 +258,75 @@ type Report struct {
 	ReplayedCycles uint64
 }
 
-// RunCampaign executes one CPU fault-injection campaign.
+// RunCampaign executes one CPU fault-injection campaign as a one-cell
+// sweep grid (see CampaignOptions.Sweep).
 func RunCampaign(o CampaignOptions) (*Report, error) {
-	a, err := isa.ByName(o.ISA)
+	goldens := sweep.NewRunCache()
+	c, err := runCell(o.Sweep(), goldens)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := workloads.ByName(o.Workload)
+	pre, err := sweep.PresetFor(o.Preset, o.PhysRegs)
 	if err != nil {
 		return nil, err
 	}
-	model, err := o.Model.internal()
+	g, _, err := goldens.CPUGolden(sweep.CPUGoldenKey(o.ISA, o.Workload, pre), cached[*sweep.CPUGolden])
 	if err != nil {
 		return nil, err
 	}
-	img, err := program.Compile(a, spec.Build())
-	if err != nil {
-		return nil, err
-	}
-	pre, err := presetFor(o.Preset, o.PhysRegs)
-	if err != nil {
-		return nil, err
-	}
-	dom := core.DomainWholeArray
-	if o.ValidOnly {
-		dom = core.DomainValidOnly
-	}
-	targets, err := sweep.SplitTarget(o.Target)
-	if err != nil {
-		return nil, err
-	}
-	cfg := campaign.Config{
-		Image:            img,
-		Preset:           pre,
-		Model:            model,
-		Faults:           o.Faults,
-		BitsPerFault:     o.BitsPerFault,
-		Seed:             o.Seed,
-		Domain:           dom,
-		Workers:          o.Workers,
-		HVF:              o.HVF,
-		EarlyTermination: o.EarlyTermination,
-		WatchdogFactor:   o.WatchdogFactor,
-		LadderRungs:      o.LadderRungs,
-		TargetMargin:     o.TargetMargin,
-		Confidence:       o.Confidence,
-		MinFaults:        o.MinFaults,
-		MaxFaults:        o.MaxFaults,
-		Profile:          o.Profile,
-	}
-	if len(targets) > 1 {
-		cfg.MultiTargets = targets
-	} else {
-		cfg.Target = targets[0]
-	}
-	if reg := o.Metrics; reg != nil {
-		cfg.OnVerdict = func(_ int, v classify.Verdict) {
-			reg.AddVerdict(v.Outcome.String(), v.EarlyStop, v.HVFCorrupt)
-		}
-	}
-	res, err := campaign.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if o.Metrics != nil {
-		o.Metrics.AddForkStats(res.Forking.Forks, res.Forking.ReuseHits)
-		o.Metrics.AddLadderStats(res.Forking.RungHits, res.Forking.ReplayedCycles)
-	}
-	return &Report{
+	rep := &Report{
 		Workload:       o.Workload,
 		ISA:            o.ISA,
-		Target:         res.Target,
+		Target:         c.Cell.Target,
 		Model:          o.Model,
-		Faults:         res.Counts.Total(),
-		Masked:         res.Counts.Masked,
-		SDC:            res.Counts.SDC,
-		Crash:          res.Counts.Crash,
-		AVF:            res.Counts.AVF(),
-		SDCAVF:         res.Counts.SDCAVF(),
-		CrashAVF:       res.Counts.CrashAVF(),
-		HVF:            res.Counts.HVF(),
-		HVFMeasured:    res.Counts.HVFMeasured(),
-		Margin:         res.Margin,
-		Z:              res.Z,
-		AchievedMargin: res.AchievedMargin,
-		Requested:      res.Requested,
-		FaultsSaved:    res.FaultsSaved,
-		Batches:        res.Batches,
-		GoldenCycles:   res.Golden.Cycles,
-		GoldenInsts:    res.Golden.Insts,
-		IPC:            res.Golden.Stats.IPC(),
-		EarlyStops:     res.Counts.EarlyStops,
-		Forks:          res.Forking.Forks,
-		ForkReuses:     res.Forking.ReuseHits,
-		PagesCopied:    res.Forking.PagesCopied,
-		SetsRestored:   res.Forking.CacheSetsRestored,
-		Rungs:          res.Forking.Rungs,
-		RungHits:       res.Forking.RungHits,
-		ReplayedCycles: res.Forking.ReplayedCycles,
-	}, nil
+		Faults:         c.Faults,
+		Masked:         c.Masked,
+		SDC:            c.SDC,
+		Crash:          c.Crash,
+		AVF:            c.AVF,
+		SDCAVF:         c.SDCAVF,
+		CrashAVF:       c.CrashAVF,
+		HVFMeasured:    c.HVFMeasured,
+		Margin:         c.Margin,
+		Z:              c.Z,
+		AchievedMargin: c.AchievedMargin,
+		Requested:      c.Requested,
+		FaultsSaved:    c.FaultsSaved,
+		Batches:        c.Batches,
+		GoldenCycles:   c.GoldenCycles,
+		GoldenInsts:    g.Golden.Info.Insts,
+		IPC:            g.Golden.Info.Stats.IPC(),
+		EarlyStops:     c.EarlyStops,
+		Forks:          c.Forking.Forks,
+		ForkReuses:     c.Forking.ReuseHits,
+		PagesCopied:    c.Forking.PagesCopied,
+		SetsRestored:   c.Forking.CacheSetsRestored,
+		Rungs:          c.Forking.Rungs,
+		RungHits:       c.Forking.RungHits,
+		ReplayedCycles: c.Forking.ReplayedCycles,
+	}
+	if c.HVF != nil {
+		rep.HVF = *c.HVF
+	}
+	return rep, nil
+}
+
+// runCell runs a one-cell grid against a golden cache scoped to the
+// caller, who reads the cell's golden back from it afterwards.
+func runCell(spec SweepOptions, goldens sweep.GoldenCache) (*SweepCell, error) {
+	spec.Goldens = goldens
+	res, err := sweep.Run(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &res.Cells[0], nil
+}
+
+// cached is the build function for reading back a golden the finished
+// run already put in its cache.
+func cached[T any]() (T, error) {
+	var zero T
+	return zero, fmt.Errorf("marvel: golden missing from the run cache")
 }
 
 // AccelOptions configures an accelerator fault-injection campaign.
@@ -400,27 +366,30 @@ type AccelOptions struct {
 	Profile *obs.Profiler `json:"-"`
 }
 
-// Validate resolves every name in the options without running anything.
-func (o AccelOptions) Validate() error {
-	spec, err := machsuite.ByName(o.Design)
-	if err != nil {
-		return err
+// Sweep translates the options into the one-cell sweep grid that runs
+// them; see CampaignOptions.Sweep. GemmMultipliers is not part of the
+// grid: RunAccelCampaign applies it through the grid's golden cache.
+func (o AccelOptions) Sweep() SweepOptions {
+	return SweepOptions{
+		Designs:      []string{o.Design},
+		Components:   []string{o.Component},
+		Models:       []string{string(o.Model)},
+		Faults:       o.Faults,
+		Seed:         o.Seed,
+		TargetMargin: o.TargetMargin,
+		Confidence:   o.Confidence,
+		MinFaults:    o.MinFaults,
+		MaxFaults:    o.MaxFaults,
+		LadderRungs:  o.LadderRungs,
+		Workers:      o.Workers,
+		CellParallel: 1,
+		Metrics:      o.Metrics,
+		Profile:      o.Profile,
 	}
-	found := false
-	for _, c := range spec.Targets {
-		if c.Name == o.Component {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("marvel: design %q has no component %q", o.Design, o.Component)
-	}
-	if _, err := o.Model.internal(); err != nil {
-		return err
-	}
-	return validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults)
 }
+
+// Validate resolves every name in the options without running anything.
+func (o AccelOptions) Validate() error { return o.Sweep().Validate() }
 
 // AccelReport is the outcome of an accelerator campaign.
 type AccelReport struct {
@@ -458,380 +427,94 @@ type AccelReport struct {
 	ReplayedCycles uint64
 }
 
-// RunAccelCampaign executes one accelerator fault-injection campaign.
+// RunAccelCampaign executes one accelerator fault-injection campaign as
+// a one-cell sweep grid (see AccelOptions.Sweep). A GemmMultipliers
+// override seeds the grid's golden cache with that gemm variant, so the
+// cell injects into the variant's datapath.
 func RunAccelCampaign(o AccelOptions) (*AccelReport, error) {
-	spec, err := machsuite.ByName(o.Design)
-	if err != nil {
-		return nil, err
-	}
-	design, task := spec.Design, spec.Task
+	goldens := sweep.NewRunCache()
+	key := sweep.AccelGoldenKey(o.Design)
 	if o.Design == "gemm" && o.GemmMultipliers > 0 {
-		design = machsuite.GemmDesign(o.GemmMultipliers)
-		task = machsuite.GemmTask()
-	}
-	model, err := o.Model.internal()
-	if err != nil {
-		return nil, err
-	}
-	cfg := accel.CampaignConfig{
-		Design:       design,
-		Task:         task,
-		Target:       o.Component,
-		Model:        model,
-		Faults:       o.Faults,
-		Seed:         o.Seed,
-		Workers:      o.Workers,
-		LadderRungs:  o.LadderRungs,
-		TargetMargin: o.TargetMargin,
-		Confidence:   o.Confidence,
-		MinFaults:    o.MinFaults,
-		MaxFaults:    o.MaxFaults,
-		Profile:      o.Profile,
-	}
-	if reg := o.Metrics; reg != nil {
-		cfg.OnVerdict = func(_ int, v classify.Verdict) {
-			reg.AddVerdict(v.Outcome.String(), v.EarlyStop, v.HVFCorrupt)
+		if _, _, err := goldens.AccelGolden(key, func() (*sweep.AccelGolden, error) {
+			return gemmGolden(o.GemmMultipliers, o.Profile)
+		}); err != nil {
+			return nil, err
 		}
 	}
-	res, err := accel.RunCampaign(cfg)
+	c, err := runCell(o.Sweep(), goldens)
 	if err != nil {
 		return nil, err
 	}
-	if o.Metrics != nil {
-		o.Metrics.AddForkStats(res.Forking.Forks, res.Forking.ReuseHits)
-		o.Metrics.AddLadderStats(res.Forking.RungHits, res.Forking.ReplayedCycles)
+	g, _, err := goldens.AccelGolden(key, cached[*sweep.AccelGolden])
+	if err != nil {
+		return nil, err
 	}
 	return &AccelReport{
 		Design:         o.Design,
 		Component:      o.Component,
-		Faults:         res.Counts.Total(),
-		Masked:         res.Counts.Masked,
-		SDC:            res.Counts.SDC,
-		Crash:          res.Counts.Crash,
-		AVF:            res.Counts.AVF(),
-		SDCAVF:         res.Counts.SDCAVF(),
-		CrashAVF:       res.Counts.CrashAVF(),
-		Margin:         res.Margin,
-		Z:              res.Z,
-		AchievedMargin: res.AchievedMargin,
-		Requested:      res.Requested,
-		FaultsSaved:    res.FaultsSaved,
-		Batches:        res.Batches,
-		TaskCycles:     res.GoldenCycles,
-		AreaUnits:      accel.AreaUnits(design),
-		Forks:          res.Forking.Forks,
-		ForkReuses:     res.Forking.ReuseHits,
-		PagesCopied:    res.Forking.PagesCopied,
-		Rungs:          res.Forking.Rungs,
-		RungHits:       res.Forking.RungHits,
-		ReplayedCycles: res.Forking.ReplayedCycles,
+		Faults:         c.Faults,
+		Masked:         c.Masked,
+		SDC:            c.SDC,
+		Crash:          c.Crash,
+		AVF:            c.AVF,
+		SDCAVF:         c.SDCAVF,
+		CrashAVF:       c.CrashAVF,
+		Margin:         c.Margin,
+		Z:              c.Z,
+		AchievedMargin: c.AchievedMargin,
+		Requested:      c.Requested,
+		FaultsSaved:    c.FaultsSaved,
+		Batches:        c.Batches,
+		TaskCycles:     c.GoldenCycles,
+		AreaUnits:      accel.AreaUnits(g.Spec.Design),
+		Forks:          c.Forking.Forks,
+		ForkReuses:     c.Forking.ReuseHits,
+		PagesCopied:    c.Forking.PagesCopied,
+		Rungs:          c.Forking.Rungs,
+		RungHits:       c.Forking.RungHits,
+		ReplayedCycles: c.Forking.ReplayedCycles,
 	}, nil
+}
+
+// gemmGolden prepares the golden of the gemm design with the given
+// multiplier count (the Figure 17 design-space exploration).
+func gemmGolden(multipliers int, prof *obs.Profiler) (*sweep.AccelGolden, error) {
+	spec, err := machsuite.ByName("gemm")
+	if err != nil {
+		return nil, err
+	}
+	spec.Design, spec.Task = machsuite.GemmDesign(multipliers), machsuite.GemmTask()
+	sp := prof.NewLane("golden").Begin(obs.PhaseGolden)
+	golden, err := accel.PrepareGolden(spec.Design, spec.Task)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return &sweep.AccelGolden{Spec: spec, Golden: golden}, nil
 }
 
 // SweepOptions configures a figure-scale campaign sweep: the cross-product
 // of a CPU grid (ISAs × Workloads × Targets × Models) and/or an
 // accelerator grid (Designs × Components × Models), executed with
 // two-level parallelism and a shared golden cache. See RunSweep.
-type SweepOptions struct {
-	// CPU grid. A CPU grid needs at least one ISA and one Target;
-	// empty Workloads means all fifteen. Each Target may be a single
-	// structure or a "+"-joined combination ("prf+rob+iq").
-	ISAs      []string
-	Workloads []string
-	Targets   []string
-
-	// Accelerator grid. Empty Components means every Table IV component
-	// of each design.
-	Designs    []string
-	Components []string
-
-	// Models applies to both grids; empty means transient only.
-	Models []FaultModel
-
-	Faults int // statistical sample size per cell
-	Seed   int64
-
-	// Adaptive confidence-targeted sizing, applied to every cell (see
-	// CampaignOptions): TargetMargin > 0 lets each cell stop once its
-	// Wilson half-width converges, Faults/MaxFaults bounding the budget.
-	// The resume journal records each cell's achieved N.
-	TargetMargin float64
-	Confidence   float64
-	MinFaults    int
-	MaxFaults    int
-
-	// Campaign knobs, applied to every cell (see CampaignOptions).
-	BitsPerFault     int
-	ValidOnly        bool
-	HVF              bool
-	EarlyTermination bool
-	WatchdogFactor   float64
-	PhysRegs         int
-	// Preset selects the CPU hardware configuration: "" or "table2" is
-	// the paper's Table II; "fast" is the scaled-down test preset.
-	Preset string
-	// LadderRungs forwards the checkpoint ladder to every cell's campaign
-	// (see CampaignOptions.LadderRungs); results are bit-identical for
-	// every value, so a resumed sweep may change it.
-	LadderRungs int
-
-	// Workers is the global worker budget shared by every concurrently
-	// running cell; 0 = GOMAXPROCS. CellParallel bounds how many cells
-	// run at once (0 = up to 3); each gets max(1, Workers/CellParallel)
-	// campaign workers. Results are identical for every choice.
-	Workers      int
-	CellParallel int
-
-	// OutDir, when non-empty, persists the sweep (manifest.json plus a
-	// cells.jsonl appended per finished cell) and makes it resumable:
-	// re-running the same options against the same directory skips
-	// completed cells.
-	OutDir string
-
-	// OnProgress, when non-nil, observes live counters; it is called
-	// serialized on cell start/finish and every classified fault, and
-	// must not block. Never serialized.
-	OnProgress func(SweepProgress) `json:"-"`
-
-	// Metrics, when non-nil, receives live counter updates (verdict mix,
-	// fork reuse, golden-cache hits, per-cell latency) as the sweep runs —
-	// the registry behind the CLI's -debug-addr endpoint and the
-	// -progress-jsonl writer. Never serialized.
-	Metrics *obs.Registry `json:"-"`
-	// Profile attributes the sweep's wall-clock to phases and lanes
-	// (golden prep, journal appends, plus every cell's campaign phases);
-	// see CampaignOptions.Profile. Never serialized.
-	Profile *obs.Profiler `json:"-"`
-}
-
-// Validate plans the sweep grid without running it, resolving every ISA,
-// workload, target, design, component and model name.
-func (o SweepOptions) Validate() error {
-	if _, err := presetFor(o.Preset, o.PhysRegs); err != nil {
-		return err
-	}
-	if err := validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults); err != nil {
-		return err
-	}
-	models := make([]string, len(o.Models))
-	for i, m := range o.Models {
-		if _, err := m.internal(); err != nil {
-			return err
-		}
-		if m == "" {
-			m = Transient
-		}
-		models[i] = string(m)
-	}
-	_, err := sweep.Plan(sweep.Spec{
-		ISAs:       o.ISAs,
-		Workloads:  o.Workloads,
-		Targets:    o.Targets,
-		Designs:    o.Designs,
-		Components: o.Components,
-		Models:     models,
-	})
-	return err
-}
+type SweepOptions = sweep.Spec
 
 // SweepProgress is a point-in-time view of a running sweep.
-type SweepProgress struct {
-	TotalCells    int
-	CellsStarted  int
-	CellsFinished int
-	CellsSkipped  int // restored from the resume journal
-
-	// TotalFaults is the budgeted total; under adaptive sizing it is an
-	// upper bound, and FaultsSaved counts budgeted injections cells
-	// stopped short of.
-	TotalFaults int64
-	FaultsDone  int64
-	FaultsSaved int64
-	EarlyStops  int64
-
-	Elapsed     time.Duration
-	CellsPerSec float64
-	ETA         time.Duration // zero until enough throughput is observed
-	LastCell    string        // key of the most recently started cell
-}
+type SweepProgress = sweep.Snapshot
 
 // SweepCell is one completed cell of a sweep.
-type SweepCell struct {
-	Key       string // e.g. "cpu/arm/crc32/prf+rob/transient"
-	Kind      string // "cpu" or "accel"
-	ISA       string
-	Workload  string
-	Target    string
-	Design    string
-	Component string
-	Model     FaultModel
+type SweepCell = sweep.CellReport
 
-	Faults     int
-	Masked     int
-	SDC        int
-	Crash      int
-	EarlyStops int
-
-	AVF      float64
-	SDCAVF   float64
-	CrashAVF float64
-	// HVF is meaningful only when HVFMeasured is true.
-	HVF         float64
-	HVFMeasured bool
-	// Margin and AchievedMargin are at quantile Z; Requested/FaultsSaved/
-	// Batches report the cell's adaptive sizing (see Report).
-	Margin         float64
-	Z              float64
-	AchievedMargin float64
-	Requested      int
-	FaultsSaved    int
-	Batches        int
-
-	GoldenCycles uint64
-	TargetBits   uint64
-	WallMS       int64
-}
-
-// SweepReport is the outcome of a sweep.
-type SweepReport struct {
-	Cells []SweepCell // one per planned cell, in plan order
-
-	CellsExecuted int
-	// CellsSkipped were restored complete from the resume journal.
-	CellsSkipped int
-	// GoldenRuns counts golden-phase executions; GoldenHits counts cells
-	// served by an already-prepared golden from the cache.
-	GoldenRuns int
-	GoldenHits int
-
-	FaultsDone int64
-	// FaultsSaved totals the budgeted injections adaptive cells stopped
-	// short of running (including journal-restored cells).
-	FaultsSaved int64
-	EarlyStops  int64
-	Forks       uint64
-	ForkReuses  uint64
-	// Checkpoint-ladder totals across all executed cells (see
-	// SweepOptions.LadderRungs).
-	RungHits       uint64
-	ReplayedCycles uint64
-
-	Elapsed time.Duration
-}
+// SweepReport is the outcome of a sweep: one cell per planned cell in
+// plan order, plus orchestration counters.
+type SweepReport = sweep.Result
 
 // RunSweep plans and executes a campaign sweep. The expensive shared
 // prefix of every cell — compiled image plus golden run — is memoized per
 // (ISA, workload, preset) and reused across campaigns; every cell's
 // verdicts are nevertheless bit-identical to a standalone RunCampaign /
 // RunAccelCampaign with the same seed.
-func RunSweep(o SweepOptions) (*SweepReport, error) {
-	models := make([]string, len(o.Models))
-	for i, m := range o.Models {
-		if m == "" {
-			m = Transient
-		}
-		models[i] = string(m)
-	}
-	spec := sweep.Spec{
-		ISAs:             o.ISAs,
-		Workloads:        o.Workloads,
-		Targets:          o.Targets,
-		Designs:          o.Designs,
-		Components:       o.Components,
-		Models:           models,
-		Faults:           o.Faults,
-		Seed:             o.Seed,
-		TargetMargin:     o.TargetMargin,
-		Confidence:       o.Confidence,
-		MinFaults:        o.MinFaults,
-		MaxFaults:        o.MaxFaults,
-		BitsPerFault:     o.BitsPerFault,
-		ValidOnly:        o.ValidOnly,
-		HVF:              o.HVF,
-		EarlyTermination: o.EarlyTermination,
-		WatchdogFactor:   o.WatchdogFactor,
-		PhysRegs:         o.PhysRegs,
-		Preset:           o.Preset,
-		LadderRungs:      o.LadderRungs,
-		Workers:          o.Workers,
-		CellParallel:     o.CellParallel,
-		OutDir:           o.OutDir,
-		Metrics:          o.Metrics,
-		Profile:          o.Profile,
-	}
-	if o.OnProgress != nil {
-		spec.OnProgress = func(s sweep.Snapshot) {
-			o.OnProgress(SweepProgress{
-				TotalCells:    s.TotalCells,
-				CellsStarted:  s.CellsStarted,
-				CellsFinished: s.CellsFinished,
-				CellsSkipped:  s.CellsSkipped,
-				TotalFaults:   s.TotalFaults,
-				FaultsDone:    s.FaultsDone,
-				FaultsSaved:   s.FaultsSaved,
-				EarlyStops:    s.EarlyStops,
-				Elapsed:       s.Elapsed,
-				CellsPerSec:   s.CellsPerSec,
-				ETA:           s.ETA,
-				LastCell:      s.LastCell,
-			})
-		}
-	}
-	res, err := sweep.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	rep := &SweepReport{
-		Cells:          make([]SweepCell, len(res.Cells)),
-		CellsExecuted:  res.Counters.CellsExecuted,
-		CellsSkipped:   res.Counters.CellsSkipped,
-		GoldenRuns:     res.Counters.GoldenRuns,
-		GoldenHits:     res.Counters.GoldenHits,
-		FaultsDone:     res.Counters.FaultsDone,
-		FaultsSaved:    res.Counters.FaultsSaved,
-		EarlyStops:     res.Counters.EarlyStops,
-		Forks:          res.Counters.Forks,
-		ForkReuses:     res.Counters.ForkReuses,
-		RungHits:       res.Counters.RungHits,
-		ReplayedCycles: res.Counters.ReplayedCycles,
-		Elapsed:        res.Elapsed,
-	}
-	for i, c := range res.Cells {
-		sc := SweepCell{
-			Key:            c.Key,
-			Kind:           c.Cell.Kind,
-			ISA:            c.Cell.ISA,
-			Workload:       c.Cell.Workload,
-			Target:         c.Cell.Target,
-			Design:         c.Cell.Design,
-			Component:      c.Cell.Component,
-			Model:          FaultModel(c.Cell.Model),
-			Faults:         c.Faults,
-			Masked:         c.Masked,
-			SDC:            c.SDC,
-			Crash:          c.Crash,
-			EarlyStops:     c.EarlyStops,
-			AVF:            c.AVF,
-			SDCAVF:         c.SDCAVF,
-			CrashAVF:       c.CrashAVF,
-			HVFMeasured:    c.HVFMeasured,
-			Margin:         c.Margin,
-			Z:              c.Z,
-			AchievedMargin: c.AchievedMargin,
-			Requested:      c.Requested,
-			FaultsSaved:    c.FaultsSaved,
-			Batches:        c.Batches,
-			GoldenCycles:   c.GoldenCycles,
-			TargetBits:     c.TargetBits,
-			WallMS:         c.WallMS,
-		}
-		if c.HVF != nil {
-			sc.HVF = *c.HVF
-		}
-		rep.Cells[i] = sc
-	}
-	return rep, nil
-}
+func RunSweep(o SweepOptions) (*SweepReport, error) { return sweep.Run(o) }
 
 // GoldenReport summarizes a fault-free workload run.
 type GoldenReport struct {

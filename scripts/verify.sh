@@ -145,6 +145,14 @@ for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCP
 		exit 1
 	}
 done
+# The facade's campaigns run as one-cell sweep grids; their reports stay
+# pinned on values recorded before they did.
+for t in TestFacadeReportsPinned; do
+	go test -run "^${t}\$" -v . | grep -q -- "--- PASS: ${t}" || {
+		echo "verify: differential guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
 for t in TestTracingDoesNotChangeVerdicts TestExplainReproducesCampaignVerdict; do
 	go test -run "^${t}\$" -v ./internal/campaign | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: tracing differential guard: ${t} did not run/pass" >&2
