@@ -15,8 +15,10 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -57,13 +59,12 @@ func benchCPUFigure(b *testing.B, id string) {
 		b.Fatalf("unknown figure %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		p := benchParams()
-		rows, err := figures.CPUFigure(p, spec.Target, spec.Model, spec.Metric)
+		cells, err := figures.CPUCells(benchParams(), []figures.CPUFigureSpec{spec})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			figures.PrintCPUFigure(os.Stdout, spec.Title, rows)
+			figures.PrintCPUFigure(os.Stdout, spec, cells)
 		}
 	}
 }
@@ -554,10 +555,17 @@ func BenchmarkTracingOverhead(b *testing.B) {
 // campaign engine. "off" is a nil Profiler, so every span site reduces
 // to one nil check and a no-op End; "on" attaches a live profiler
 // (atomic phase-table adds, no timeline sink — the worst case that
-// still sits on the campaign hot path). The guard compares best-of-run
-// wall times and fails if profiling costs more than 5%: spans bracket
-// the simulated work, they must never become part of it. The verify
-// script runs this in CI.
+// still sits on the campaign hot path). Spans bracket the simulated
+// work, they must never become part of it: the guard fails if profiling
+// costs more than 5%. The verify script runs this in CI.
+//
+// The measurement is built to be stable on a small shared host: one
+// worker, timed on host CPU time (getrusage, so steal and descheduling
+// do not count), in pairs of alternating off/on runs, judged on the
+// median of the per-pair ratios. While the pairs disagree — the median's
+// 95% interval still straddles the bound — more pairs run, up to a cap,
+// after which the guard fails as inconclusive instead of guessing. With
+// one worker it does not cover contention between campaign workers.
 func BenchmarkProfilingOverhead(b *testing.B) {
 	spec, err := workloads.ByName("crc32")
 	if err != nil {
@@ -572,45 +580,90 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 		Preset:  config.Fast(),
 		Target:  "prf",
 		Model:   core.Transient,
-		Faults:  48,
+		Faults:  8,
 		Seed:    7,
-		Workers: 4,
+		Workers: 1,
 	}
-	// Best-of-all-iterations timing: the minimum is the least noisy
-	// estimator for a guard that compares two variants.
-	run := func(b *testing.B, profiled bool) time.Duration {
-		b.Helper()
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < b.N; i++ {
-			for rep := 0; rep < 3; rep++ {
-				cfg := base
-				if profiled {
-					cfg.Profile = obs.NewProfiler()
-				}
-				t0 := time.Now()
-				res, err := campaign.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Counts.Total() != base.Faults {
-					b.Fatalf("classified %d of %d", res.Counts.Total(), base.Faults)
-				}
-				if d := time.Since(t0); d < best {
-					best = d
-				}
-			}
+	g, err := campaign.PrepareGolden(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(profiled bool) time.Duration {
+		cfg := base
+		if profiled {
+			cfg.Profile = obs.NewProfiler()
 		}
-		b.ReportMetric(best.Seconds()*1e3, "best-ms")
-		return best
+		t0 := cpuTime(b)
+		res, err := campaign.RunWithGolden(cfg, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Counts.Total() != base.Faults {
+			b.Fatalf("classified %d of %d", res.Counts.Total(), base.Faults)
+		}
+		return cpuTime(b) - t0
 	}
-	var off, on time.Duration
-	b.Run("off", func(b *testing.B) { off = run(b, false) })
-	b.Run("on", func(b *testing.B) { on = run(b, true) })
-	overhead := float64(on-off) / float64(off)
-	if overhead > 0.05 {
-		b.Fatalf("profiling overhead %.1f%% (off %v, on %v) — want under 5%%", 100*overhead, off, on)
+	// Pairs run until the sign-test 95% interval of the median overhead
+	// clears the bound on one side; pairs whose interval still straddles
+	// it at the cap are inconclusive.
+	const bound, minPairs, maxPairs = 0.05, 9, 41
+	run(false) // warm up
+	var overheads []float64
+	var med, lo, hi float64
+	for len(overheads) < maxPairs {
+		// Each side of a pair is the fastest of three interleaved runs:
+		// host slowdowns only ever add CPU time, so the minimum drops them.
+		off, on := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			off = min(off, run(false))
+			on = min(on, run(true))
+		}
+		overheads = append(overheads, float64(on)/float64(off)-1)
+		if len(overheads) < minPairs {
+			continue
+		}
+		med, lo, hi = medianInterval(overheads)
+		if hi <= bound || lo > bound {
+			break
+		}
 	}
-	fmt.Printf("\nProfiling overhead: %v unprofiled -> %v profiled (%+.1f%%)\n", off, on, 100*overhead)
+	b.ReportMetric(100*med, "overhead-%")
+	b.ReportMetric(float64(len(overheads)), "pairs")
+	if lo <= bound && hi > bound {
+		b.Fatalf("profiling overhead inconclusive, rerun: after %d pairs the median %+.1f%% has 95%% interval [%+.1f%%, %+.1f%%] across the %.0f%% bound",
+			len(overheads), 100*med, 100*lo, 100*hi, 100*bound)
+	}
+	if med > bound {
+		b.Fatalf("profiling overhead %+.1f%% (median of %d pairs, 95%% interval [%+.1f%%, %+.1f%%]) — want under 5%%",
+			100*med, len(overheads), 100*lo, 100*hi)
+	}
+	fmt.Printf("\nProfiling overhead: %+.1f%% CPU time (median of %d off/on pairs, 95%% interval [%+.1f%%, %+.1f%%])\n",
+		100*med, len(overheads), 100*lo, 100*hi)
+}
+
+// medianInterval returns the median of xs and its distribution-free 95%
+// interval from the sign test: the order statistics k and n-k+1, for
+// the largest k with P(Binomial(n, 1/2) < k) <= 2.5%. len(xs) must be at
+// least 6, the smallest sample with such a k >= 1.
+func medianInterval(xs []float64) (med, lo, hi float64) {
+	s := slices.Sorted(slices.Values(xs))
+	n := len(s)
+	k, tail, term := 0, 0.0, math.Pow(0.5, float64(n))
+	for tail+term <= 0.025 {
+		tail += term
+		k++
+		term *= float64(n-k+1) / float64(k)
+	}
+	return (s[(n-1)/2] + s[n/2]) / 2, s[k-1], s[n-k]
+}
+
+// cpuTime is the process's host CPU time (user + system).
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkSimulatorThroughput reports raw simulation speed (cycles/sec of

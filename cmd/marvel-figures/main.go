@@ -1,5 +1,7 @@
 // Command marvel-figures regenerates every table and figure of the paper's
-// evaluation section at a configurable statistical scale.
+// evaluation section at a configurable statistical scale. Every figure is
+// drawn at the one sweep seed (figures.Seed); Figures 4–13 come from two
+// sweep grids shared by all ten figures.
 //
 //	marvel-figures                         # all figures, 24 faults/structure
 //	marvel-figures -faults 1000            # the paper's sample size
@@ -20,7 +22,6 @@ func main() {
 	faults := flag.Int("faults", 24, "faults per structure per benchmark (paper: 1000)")
 	only := flag.String("only", "", "comma-separated figure ids (fig04..fig18, tab4, listing1)")
 	wls := flag.String("workloads", "", "comma-separated workload subset (default: all 15)")
-	parallel := flag.Int("parallel", 3, "concurrent campaigns")
 	flag.Parse()
 
 	sel := map[string]bool{}
@@ -31,7 +32,7 @@ func main() {
 	}
 	want := func(id string) bool { return len(sel) == 0 || sel[id] }
 
-	p := figures.Params{Faults: *faults, Parallel: *parallel, W: os.Stdout}
+	p := figures.Params{Faults: *faults, W: os.Stdout}
 	if *wls != "" {
 		p.Workloads = strings.Split(*wls, ",")
 	}
@@ -49,39 +50,35 @@ func main() {
 			fail(err)
 		}
 	}
+	var cpuFigs []figures.CPUFigureSpec
 	for _, spec := range figures.CPUFigures() {
-		if !want(spec.ID) {
-			continue
+		if want(spec.ID) {
+			cpuFigs = append(cpuFigs, spec)
 		}
-		rows, err := figures.CPUFigure(p, spec.Target, spec.Model, spec.Metric)
+	}
+	if len(cpuFigs) > 0 {
+		cells, err := figures.CPUCells(p, cpuFigs)
 		if err != nil {
 			fail(err)
 		}
-		figures.PrintCPUFigure(os.Stdout, spec.Title, rows)
-	}
-	if want("fig14") {
-		if err := figures.Fig14(p); err != nil {
-			fail(err)
+		for _, spec := range cpuFigs {
+			figures.PrintCPUFigure(os.Stdout, spec, cells)
 		}
 	}
-	if want("fig15") {
-		if err := figures.Fig15(p); err != nil {
-			fail(err)
-		}
-	}
-	if want("fig16") {
-		if err := figures.Fig16(p); err != nil {
-			fail(err)
-		}
-	}
-	if want("fig17") {
-		if err := figures.Fig17(p); err != nil {
-			fail(err)
-		}
-	}
-	if want("fig18") {
-		if err := figures.Fig18(p); err != nil {
-			fail(err)
+	for _, fig := range []struct {
+		id  string
+		run func(figures.Params) error
+	}{
+		{"fig14", figures.Fig14},
+		{"fig15", figures.Fig15},
+		{"fig16", figures.Fig16},
+		{"fig17", figures.Fig17},
+		{"fig18", figures.Fig18},
+	} {
+		if want(fig.id) {
+			if err := fig.run(p); err != nil {
+				fail(err)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 
-	"marvel"
 	"marvel/internal/server"
 )
 
@@ -30,15 +29,7 @@ func cmdSubmit(args []string) error {
 	design := fs.String("design", "gemm", "accelerator design (accel)")
 	comp := fs.String("component", "MATRIX1", "Table IV component (accel)")
 	model := fs.String("model", "transient", "fault model")
-	faults := fs.Int("faults", 1000, "statistical sample size")
-	seed := fs.Int64("seed", 1, "mask generation seed")
-	bits := fs.Int("bits", 1, "bits per fault (campaign)")
-	hvf := fs.Bool("hvf", false, "also run HVF analysis (campaign)")
-	validOnly := fs.Bool("validonly", true, "draw faults over live entries only (campaign)")
-	earlyTerm := fs.Bool("earlyterm", false, "enable early-termination optimizations (campaign)")
-	margin := fs.Float64("margin", 0, "adaptive sizing: stop once the Wilson half-width on AVF reaches this margin (0 = fixed -faults budget)")
-	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
-	preset := fs.String("preset", "table2", "CPU hardware preset (campaign)")
+	sz := bindSizing(fs, "faults", "seed", "bits", "hvf", "validonly", "earlyterm", "margin", "confidence", "preset")
 	wait := fs.Bool("wait", false, "stream the job's events until it finishes (submit + watch)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,31 +50,11 @@ func cmdSubmit(args []string) error {
 		var req server.Request
 		switch *kind {
 		case server.KindCampaign:
-			req = server.Request{Kind: server.KindCampaign, Campaign: &marvel.CampaignOptions{
-				ISA:              *isaName,
-				Workload:         *wl,
-				Target:           *target,
-				Model:            marvel.FaultModel(*model),
-				Faults:           *faults,
-				Seed:             *seed,
-				BitsPerFault:     *bits,
-				HVF:              *hvf,
-				ValidOnly:        *validOnly,
-				EarlyTermination: *earlyTerm,
-				TargetMargin:     *margin,
-				Confidence:       *confidence,
-				Preset:           *preset,
-			}}
+			opts := sz.campaign(*isaName, *wl, *target, *model)
+			req = server.Request{Kind: server.KindCampaign, Campaign: &opts}
 		case server.KindAccel:
-			req = server.Request{Kind: server.KindAccel, Accel: &marvel.AccelOptions{
-				Design:       *design,
-				Component:    *comp,
-				Model:        marvel.FaultModel(*model),
-				Faults:       *faults,
-				Seed:         *seed,
-				TargetMargin: *margin,
-				Confidence:   *confidence,
-			}}
+			opts := sz.accel(*design, *comp, *model)
+			req = server.Request{Kind: server.KindAccel, Accel: &opts}
 		default:
 			return usagef("unknown -kind %q (want campaign or accel; submit sweeps via -spec)", *kind)
 		}

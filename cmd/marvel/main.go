@@ -125,67 +125,21 @@ func cmdCampaign(args []string) error {
 	wl := fs.String("workload", "sha", "workload name")
 	target := fs.String("target", "prf", "injection target: "+strings.Join(marvel.CPUTargets(), ", ")+`; a "+"-joined combo (prf+rob+iq) selects multi-structure mode`)
 	model := fs.String("model", "transient", "fault model: transient, stuck-at-0, stuck-at-1")
-	faults := fs.Int("faults", 1000, "statistical sample size")
-	seed := fs.Int64("seed", 1, "mask generation seed")
-	bits := fs.Int("bits", 1, "bits per fault (> 1 selects multi-bit masks)")
-	hvf := fs.Bool("hvf", false, "also run HVF analysis")
-	validOnly := fs.Bool("validonly", true, "draw faults over live entries only")
-	earlyTerm := fs.Bool("earlyterm", false, "enable early-termination optimizations")
-	watchdog := fs.Float64("watchdog", 0, "watchdog factor × golden cycles bounding faulty runs (0 = default 3)")
-	physRegs := fs.Int("physregs", 0, "override physical register count (0 = 128)")
-	workers := fs.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS); results are worker-count invariant")
-	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs inside the injection window (0 = single checkpoint); results are bit-identical for every value")
-	margin := fs.Float64("margin", 0, "adaptive sizing: stop once the Wilson half-width on AVF reaches this margin (0 = fixed -faults budget); results are a bit-identical prefix of the fixed run")
-	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
-	preset := fs.String("preset", "table2", "CPU hardware preset: table2, fast")
-	debugAddr := fs.String("debug-addr", "", "serve live /metrics, /debug/vars and /debug/pprof/ on this address while the campaign runs (e.g. localhost:6060)")
-	timeline := fs.String("timeline", "", "write a per-worker Chrome trace-event timeline (Perfetto-loadable) to this file and print a where-the-time-went table; verdicts are bit-identical with and without it")
+	sz := bindSizing(fs, "faults", "seed", "bits", "hvf", "validonly", "earlyterm", "watchdog", "physregs",
+		"workers", "ladder", "margin", "confidence", "preset", "debug-addr", "timeline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := marvel.CampaignOptions{
-		ISA:              *isaName,
-		Workload:         *wl,
-		Target:           *target,
-		Model:            marvel.FaultModel(*model),
-		Faults:           *faults,
-		Seed:             *seed,
-		BitsPerFault:     *bits,
-		HVF:              *hvf,
-		ValidOnly:        *validOnly,
-		EarlyTermination: *earlyTerm,
-		WatchdogFactor:   *watchdog,
-		PhysRegs:         *physRegs,
-		Preset:           *preset,
-		Workers:          *workers,
-		LadderRungs:      *ladder,
-		TargetMargin:     *margin,
-		Confidence:       *confidence,
-	}
+	opts := sz.campaign(*isaName, *wl, *target, *model)
 	if err := opts.Validate(); err != nil {
 		return usageError{err}
 	}
-	if *debugAddr != "" {
-		reg := marvel.NewMetricsRegistry()
-		srv, err := marvel.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /debug/vars, /debug/pprof/)\n", srv.Addr)
-		opts.Metrics = reg
+	reg, tl, stop, err := sz.observe(nil)
+	if err != nil {
+		return err
 	}
-	var tl *timelineRun
-	if *timeline != "" {
-		var err error
-		if tl, err = startTimeline(*timeline); err != nil {
-			return err
-		}
-		opts.Profile = tl.prof
-		if opts.Metrics != nil {
-			opts.Metrics.AttachProfiler(tl.prof)
-		}
-	}
+	defer stop()
+	opts.Metrics, opts.Profile = reg, tl.profiler()
 	rep, err := marvel.RunCampaign(opts)
 	if err != nil {
 		return err
@@ -196,9 +150,9 @@ func cmdCampaign(args []string) error {
 	fmt.Printf("workload=%s isa=%s target=%s model=%s\n", rep.Workload, rep.ISA, rep.Target, rep.Model)
 	fmt.Printf("golden: %d cycles, %d insts, IPC %.2f\n", rep.GoldenCycles, rep.GoldenInsts, rep.IPC)
 	fmt.Printf("faults: %d (margin ±%.2f%% at %.0f%%)\n", rep.Faults, 100*rep.Margin, confidencePct(rep.Z))
-	if *margin > 0 {
+	if sz.margin > 0 {
 		fmt.Printf("adaptive: target ±%.2f%%, achieved ±%.2f%%, %d of %d budget (%d saved) in %d batches\n",
-			100**margin, 100*rep.AchievedMargin, rep.Faults, rep.Requested, rep.FaultsSaved, rep.Batches)
+			100*sz.margin, 100*rep.AchievedMargin, rep.Faults, rep.Requested, rep.FaultsSaved, rep.Batches)
 	}
 	fmt.Printf("masked=%d sdc=%d crash=%d early-stops=%d\n", rep.Masked, rep.SDC, rep.Crash, rep.EarlyStops)
 	fmt.Printf("AVF=%.4f (SDC %.4f + Crash %.4f)\n", rep.AVF, rep.SDCAVF, rep.CrashAVF)
@@ -240,6 +194,14 @@ func startTimeline(path string) (*timelineRun, error) {
 	prof := obs.NewProfiler()
 	prof.AttachTimeline(tw)
 	return &timelineRun{path: path, prof: prof, tw: tw}, nil
+}
+
+// profiler is the run's profiler; nil when no -timeline was asked for.
+func (t *timelineRun) profiler() *obs.Profiler {
+	if t == nil {
+		return nil
+	}
+	return t.prof
 }
 
 // finish closes the trace file and prints the where-the-time-went table.
@@ -289,27 +251,14 @@ func cmdSweep(args []string) error {
 	designs := fs.String("designs", "", "comma-separated accelerator designs")
 	comps := fs.String("components", "", "comma-separated components (empty = every Table IV component)")
 	models := fs.String("models", "", "comma-separated fault models (empty = transient)")
-	faults := fs.Int("faults", 1000, "statistical sample size per cell")
-	seed := fs.Int64("seed", 1, "mask generation seed")
-	bits := fs.Int("bits", 1, "bits per fault (> 1 selects multi-bit masks)")
-	hvf := fs.Bool("hvf", false, "also run HVF analysis (CPU cells)")
-	validOnly := fs.Bool("validonly", true, "draw CPU faults over live entries only")
-	earlyTerm := fs.Bool("earlyterm", false, "enable early-termination optimizations")
-	watchdog := fs.Float64("watchdog", 0, "watchdog factor × golden cycles (0 = engine default)")
-	physRegs := fs.Int("physregs", 0, "override physical register count (0 = 128)")
-	preset := fs.String("preset", "table2", "CPU hardware preset: table2, fast")
-	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs per cell (0 = single checkpoint); results are bit-identical for every value")
-	margin := fs.Float64("margin", 0, "adaptive sizing: each cell stops once its Wilson half-width on AVF reaches this margin (0 = fixed -faults per cell); the journal records each cell's achieved N")
-	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
-	workers := fs.Int("workers", 0, "global worker budget across cells (0 = GOMAXPROCS); results are worker-count invariant")
+	sz := bindSizing(fs, "faults", "seed", "bits", "hvf", "validonly", "earlyterm", "watchdog", "physregs",
+		"preset", "ladder", "margin", "confidence", "workers", "debug-addr", "timeline")
 	cellPar := fs.Int("cellpar", 0, "concurrent cells (0 = up to 3)")
 	out := fs.String("out", "", "persist + resume directory (manifest.json, cells.jsonl)")
 	resume := fs.Bool("resume", false, "require an existing sweep journal in -out and resume it (fail instead of silently starting fresh)")
 	csvPath := fs.String("csv", "", "write the Figure 9-11 CSV of all cells to this file (- = stdout)")
 	quiet := fs.Bool("quiet", false, "suppress the live progress line")
-	debugAddr := fs.String("debug-addr", "", "serve live /metrics, /debug/vars and /debug/pprof/ on this address while the sweep runs (e.g. localhost:6060)")
 	progressJSONL := fs.String("progress-jsonl", "", "append machine-readable progress snapshots (with registry metrics) to this JSONL file")
-	timeline := fs.String("timeline", "", "write a per-worker Chrome trace-event timeline (Perfetto-loadable) to this file and print a where-the-time-went table; verdicts are bit-identical with and without it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -321,19 +270,19 @@ func cmdSweep(args []string) error {
 		Designs:          csvList(*designs),
 		Components:       csvList(*comps),
 		Models:           csvList(*models),
-		Faults:           *faults,
-		Seed:             *seed,
-		BitsPerFault:     *bits,
-		ValidOnly:        *validOnly,
-		HVF:              *hvf,
-		EarlyTermination: *earlyTerm,
-		WatchdogFactor:   *watchdog,
-		PhysRegs:         *physRegs,
-		Preset:           *preset,
-		LadderRungs:      *ladder,
-		TargetMargin:     *margin,
-		Confidence:       *confidence,
-		Workers:          *workers,
+		Faults:           sz.faults,
+		Seed:             sz.seed,
+		BitsPerFault:     sz.bits,
+		ValidOnly:        sz.validOnly,
+		HVF:              sz.hvf,
+		EarlyTermination: sz.earlyTerm,
+		WatchdogFactor:   sz.watchdog,
+		PhysRegs:         sz.physRegs,
+		Preset:           sz.preset,
+		LadderRungs:      sz.ladder,
+		TargetMargin:     sz.margin,
+		Confidence:       sz.confidence,
+		Workers:          sz.workers,
 		CellParallel:     *cellPar,
 		OutDir:           *out,
 	}
@@ -349,28 +298,15 @@ func cmdSweep(args []string) error {
 			return usagef("nothing to resume: no sweep journal at %s (drop -resume to start a fresh sweep)", manifest)
 		}
 	}
-	if *debugAddr != "" || *progressJSONL != "" {
+	if *progressJSONL != "" {
 		spec.Metrics = marvel.NewMetricsRegistry()
 	}
-	if *debugAddr != "" {
-		srv, err := marvel.ServeDebug(*debugAddr, spec.Metrics)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /debug/vars, /debug/pprof/)\n", srv.Addr)
+	reg, tl, stop, err := sz.observe(spec.Metrics)
+	if err != nil {
+		return err
 	}
-	var tl *timelineRun
-	if *timeline != "" {
-		var err error
-		if tl, err = startTimeline(*timeline); err != nil {
-			return err
-		}
-		spec.Profile = tl.prof
-		if spec.Metrics != nil {
-			spec.Metrics.AttachProfiler(tl.prof)
-		}
-	}
+	defer stop()
+	spec.Metrics, spec.Profile = reg, tl.profiler()
 	if !*quiet {
 		var lastDraw time.Time
 		spec.OnProgress = func(s sweep.Snapshot) {
@@ -463,7 +399,7 @@ func cmdSweep(args []string) error {
 		res.Counters.Forks, res.Counters.ForkReuses)
 	if res.Counters.FaultsSaved > 0 {
 		fmt.Printf("adaptive: %d budgeted injections saved (target ±%.2f%% at %.0f%%)\n",
-			res.Counters.FaultsSaved, 100**margin, confidencePct(*confidence))
+			res.Counters.FaultsSaved, 100*sz.margin, confidencePct(sz.confidence))
 	}
 	if res.Counters.RungHits > 0 {
 		fmt.Printf("ladder: %d rung hits, %d cycles replayed pre-injection\n",
@@ -521,14 +457,8 @@ func cmdExplain(args []string) error {
 	design := fs.String("design", "", "accelerator design (accelerator fault)")
 	comp := fs.String("component", "", "Table IV component (accelerator fault)")
 	model := fs.String("model", "transient", "fault model: transient, stuck-at-0, stuck-at-1")
-	seed := fs.Int64("seed", 1, "seed of the campaign being explained")
 	index := fs.Int("index", 0, "mask index inside that campaign (0-based)")
-	bits := fs.Int("bits", 1, "bits per fault of the campaign being explained")
-	validOnly := fs.Bool("validonly", true, "the campaign drew faults over live entries only")
-	earlyTerm := fs.Bool("earlyterm", false, "the campaign ran early-termination optimizations")
-	watchdog := fs.Float64("watchdog", 0, "watchdog factor × golden cycles (0 = engine default)")
-	physRegs := fs.Int("physregs", 0, "override physical register count (0 = 128)")
-	preset := fs.String("preset", "table2", "CPU hardware preset: table2, fast")
+	sz := bindSizing(fs, "seed", "bits", "validonly", "earlyterm", "watchdog", "physregs", "preset")
 	jsonOut := fs.Bool("json", false, "emit the explanation as JSON instead of a narrated timeline")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -540,14 +470,14 @@ func cmdExplain(args []string) error {
 		Design:           *design,
 		Component:        *comp,
 		Model:            marvel.FaultModel(*model),
-		Seed:             *seed,
+		Seed:             sz.seed,
 		Index:            *index,
-		BitsPerFault:     *bits,
-		ValidOnly:        *validOnly,
-		EarlyTermination: *earlyTerm,
-		WatchdogFactor:   *watchdog,
-		PhysRegs:         *physRegs,
-		Preset:           *preset,
+		BitsPerFault:     sz.bits,
+		ValidOnly:        sz.validOnly,
+		EarlyTermination: sz.earlyTerm,
+		WatchdogFactor:   sz.watchdog,
+		PhysRegs:         sz.physRegs,
+		Preset:           sz.preset,
 	})
 	if err != nil {
 		return err
@@ -595,54 +525,22 @@ func cmdAccel(args []string) error {
 	design := fs.String("design", "gemm", "accelerator design")
 	comp := fs.String("component", "MATRIX1", "Table IV component")
 	model := fs.String("model", "transient", "fault model")
-	faults := fs.Int("faults", 1000, "statistical sample size")
-	seed := fs.Int64("seed", 1, "seed")
 	mults := fs.Int("gemm-multipliers", 0, "gemm datapath multipliers (DSE)")
-	workers := fs.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS); results are worker-count invariant")
-	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs inside the injection window (0 = single checkpoint); results are bit-identical for every value")
-	margin := fs.Float64("margin", 0, "adaptive sizing: stop once the Wilson half-width on AVF reaches this margin (0 = fixed -faults budget); results are a bit-identical prefix of the fixed run")
-	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
-	debugAddr := fs.String("debug-addr", "", "serve live /metrics, /debug/vars and /debug/pprof/ on this address while the campaign runs (e.g. localhost:6060)")
-	timeline := fs.String("timeline", "", "write a per-worker Chrome trace-event timeline (Perfetto-loadable) to this file and print a where-the-time-went table; verdicts are bit-identical with and without it")
+	sz := bindSizing(fs, "faults", "seed", "workers", "ladder", "margin", "confidence", "debug-addr", "timeline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := marvel.AccelOptions{
-		Design:          *design,
-		Component:       *comp,
-		Model:           marvel.FaultModel(*model),
-		Faults:          *faults,
-		Seed:            *seed,
-		GemmMultipliers: *mults,
-		Workers:         *workers,
-		LadderRungs:     *ladder,
-		TargetMargin:    *margin,
-		Confidence:      *confidence,
-	}
+	opts := sz.accel(*design, *comp, *model)
+	opts.GemmMultipliers = *mults
 	if err := opts.Validate(); err != nil {
 		return usageError{err}
 	}
-	if *debugAddr != "" {
-		reg := marvel.NewMetricsRegistry()
-		srv, err := marvel.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /debug/vars, /debug/pprof/)\n", srv.Addr)
-		opts.Metrics = reg
+	reg, tl, stop, err := sz.observe(nil)
+	if err != nil {
+		return err
 	}
-	var tl *timelineRun
-	if *timeline != "" {
-		var err error
-		if tl, err = startTimeline(*timeline); err != nil {
-			return err
-		}
-		opts.Profile = tl.prof
-		if opts.Metrics != nil {
-			opts.Metrics.AttachProfiler(tl.prof)
-		}
-	}
+	defer stop()
+	opts.Metrics, opts.Profile = reg, tl.profiler()
 	rep, err := marvel.RunAccelCampaign(opts)
 	if err != nil {
 		return err
@@ -653,9 +551,9 @@ func cmdAccel(args []string) error {
 	fmt.Printf("design=%s component=%s task=%d cycles area=%.1f\n",
 		rep.Design, rep.Component, rep.TaskCycles, rep.AreaUnits)
 	fmt.Printf("faults: %d (margin ±%.2f%% at %.0f%%)\n", rep.Faults, 100*rep.Margin, confidencePct(rep.Z))
-	if *margin > 0 {
+	if sz.margin > 0 {
 		fmt.Printf("adaptive: target ±%.2f%%, achieved ±%.2f%%, %d of %d budget (%d saved) in %d batches\n",
-			100**margin, 100*rep.AchievedMargin, rep.Faults, rep.Requested, rep.FaultsSaved, rep.Batches)
+			100*sz.margin, 100*rep.AchievedMargin, rep.Faults, rep.Requested, rep.FaultsSaved, rep.Batches)
 	}
 	fmt.Printf("masked=%d sdc=%d crash=%d\n", rep.Masked, rep.SDC, rep.Crash)
 	fmt.Printf("AVF=%.4f (SDC %.4f + Crash %.4f)\n", rep.AVF, rep.SDCAVF, rep.CrashAVF)

@@ -141,10 +141,12 @@ func TestFacadeRunSweep(t *testing.T) {
 
 // TestFacadeReportsPinned pins every field of the facade's campaign
 // reports — counts, AVFs, margins, golden figures, area and the
-// fork/ladder counters — on values recorded before the facade's
-// campaigns moved onto the sweep orchestrator. Workers is 1 so the
-// per-worker fork counters are schedule-independent too. Fields a want
-// literal leaves out are pinned at their zero value.
+// fork/ladder counters. The accelerator cases were recorded before the
+// facade's campaigns moved onto the sweep orchestrator (parent of commit
+// d7bbaee); the CPU cases on the commit "One fault derivation for both
+// engines" (parent 73e8689), when CPU masks moved onto core.MaskSpace.
+// Workers is 1 so the per-worker fork counters are schedule-independent
+// too. Fields a want literal leaves out are pinned at their zero value.
 func TestFacadeReportsPinned(t *testing.T) {
 	cpu := []struct {
 		name string
@@ -155,34 +157,34 @@ func TestFacadeReportsPinned(t *testing.T) {
 			ISA: "riscv", Workload: "crc32", Target: "prf", Faults: 16, Seed: 3,
 			ValidOnly: true, HVF: true, LadderRungs: 4, Workers: 1, Preset: "fast",
 		}, marvel.Report{
-			Workload: "crc32", ISA: "riscv", Target: "prf", Faults: 16, Masked: 15, SDC: 1,
-			AVF: 0.0625, SDCAVF: 0.0625, HVF: 0.125, HVFMeasured: true,
-			Margin: 0.24477556561902133, Z: 1.96, AchievedMargin: 0.2207926836802987,
+			Workload: "crc32", ISA: "riscv", Target: "prf", Faults: 16, Masked: 14, Crash: 2,
+			AVF: 0.125, CrashAVF: 0.125, HVF: 0.1875, HVFMeasured: true,
+			Margin: 0.24477556561902133, Z: 1.96, AchievedMargin: 0.2352333143674828,
 			Requested: 16, Batches: 1, GoldenCycles: 16846, GoldenInsts: 43555,
-			IPC: 2.585480232696189, Forks: 5, ForkReuses: 11, SetsRestored: 346, Rungs: 4,
-			RungHits: 15, ReplayedCycles: 29064,
+			IPC: 2.585480232696189, Forks: 5, ForkReuses: 11, SetsRestored: 347, Rungs: 4,
+			RungHits: 14, ReplayedCycles: 29686,
 		}},
 		{"multi-target, 2-bit masks", marvel.CampaignOptions{
 			ISA: "arm", Workload: "crc32", Target: "prf+rob", Faults: 12, Seed: 5,
 			BitsPerFault: 2, ValidOnly: true, EarlyTermination: true, Workers: 1, Preset: "fast",
 		}, marvel.Report{
-			Workload: "crc32", ISA: "arm", Target: "prf+rob", Faults: 12, Masked: 1, Crash: 11,
-			AVF: 0.9166666666666666, CrashAVF: 0.9166666666666666,
-			Margin: 0.28275512319739465, Z: 1.96, AchievedMargin: 0.270552588465262,
+			Workload: "crc32", ISA: "arm", Target: "prf+rob", Faults: 12, Masked: 2, Crash: 10,
+			AVF: 0.8333333333333334, CrashAVF: 0.8333333333333334,
+			Margin: 0.28275512319739465, Z: 1.96, AchievedMargin: 0.281369690718006,
 			Requested: 12, Batches: 1, GoldenCycles: 12514, GoldenInsts: 38432,
-			IPC: 3.071120345213361, Forks: 1, ForkReuses: 11, SetsRestored: 432,
-			ReplayedCycles: 24335,
+			IPC: 3.071120345213361, Forks: 1, ForkReuses: 11, SetsRestored: 339,
+			ReplayedCycles: 24948,
 		}},
 		{"adaptive margin", marvel.CampaignOptions{
 			ISA: "x86", Workload: "crc32", Target: "prf", Model: marvel.StuckAt1, Faults: 96, Seed: 7,
 			TargetMargin: 0.15, MinFaults: 32, ValidOnly: true, LadderRungs: 4, Workers: 1, Preset: "fast",
 		}, marvel.Report{
-			Workload: "crc32", ISA: "x86", Target: "prf", Model: "stuck-at-1", Faults: 64,
-			Masked: 8, SDC: 10, Crash: 46, AVF: 0.875, SDCAVF: 0.15625, CrashAVF: 0.71875,
-			Margin: 0.12202799433047083, Z: 1.96, AchievedMargin: 0.10274786330215924,
-			Requested: 96, FaultsSaved: 32, Batches: 2, GoldenCycles: 19935,
-			GoldenInsts: 53291, IPC: 2.673238023576624, Forks: 1, ForkReuses: 63,
-			SetsRestored: 1519,
+			Workload: "crc32", ISA: "x86", Target: "prf", Model: "stuck-at-1", Faults: 32,
+			Masked: 3, SDC: 7, Crash: 22, AVF: 0.90625, SDCAVF: 0.21875, CrashAVF: 0.6875,
+			Margin: 0.1729130227645744, Z: 1.96, AchievedMargin: 0.14843499335778843,
+			Requested: 96, FaultsSaved: 64, Batches: 1, GoldenCycles: 19935,
+			GoldenInsts: 53291, IPC: 2.673238023576624, Forks: 1, ForkReuses: 31,
+			SetsRestored: 813,
 		}},
 	}
 	for _, tc := range cpu {

@@ -444,68 +444,42 @@ func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, int, error)
 	return g, base, rec.Golden(), commitsAtCkpt, nil
 }
 
-// buildMasks generates the campaign's fault-mask sample from cfg alone
-// (plus the golden window). Mask i depends only on (Seed, i, target
-// geometry): single-target masks come from the sequential core.Generate
-// stream (prefix-stable — generating Count = i+1 masks reproduces mask i
-// exactly), multi-target masks from per-structure derived seeds. Explain
-// leans on this purity to re-derive one campaign mask in isolation.
-func buildMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, uint64, error) {
-	if len(cfg.MultiTargets) > 0 {
-		return multiTargetMasks(cfg, base, golden)
+// maskSpace resolves the campaign's fault population from cfg alone
+// (plus the golden window): every listed structure (Target, or each of
+// MultiTargets) with its bit count, the model, faults per structure and
+// the injection window. It also returns the total injectable bits.
+func maskSpace(cfg Config, base *soc.System, golden *GoldenInfo) (core.MaskSpace, uint64, error) {
+	names := cfg.MultiTargets
+	if len(names) == 0 {
+		names = []string{cfg.Target}
 	}
-	tgt, err := TargetOf(base, cfg.Target)
+	sp := core.MaskSpace{Model: cfg.Model, BitsPer: cfg.BitsPerFault, WindowLo: golden.WindowLo, WindowHi: golden.WindowHi}
+	var total uint64
+	for _, name := range names {
+		tgt, err := TargetOf(base, name)
+		if err != nil {
+			return core.MaskSpace{}, 0, err
+		}
+		sp.Targets = append(sp.Targets, core.Structure{Name: name, Bits: tgt.BitLen()})
+		total += tgt.BitLen()
+	}
+	return sp, total, sp.Validate()
+}
+
+// buildMasks derives the campaign's cfg.Faults masks. Mask i is a pure
+// function of (Seed, i, space) — core.MaskSpace.Mask — so the population
+// is prefix-stable in the fault count and Explain derives any one mask in
+// isolation.
+func buildMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, uint64, error) {
+	sp, bits, err := maskSpace(cfg, base, golden)
 	if err != nil {
 		return nil, 0, err
 	}
-	bits := tgt.BitLen()
-	masks, err := core.Generate(core.GenSpec{
-		Target:   cfg.Target,
-		Bits:     bits,
-		Model:    cfg.Model,
-		Count:    cfg.Faults,
-		WindowLo: golden.WindowLo,
-		WindowHi: golden.WindowHi,
-		BitsPer:  cfg.BitsPerFault,
-		Seed:     cfg.Seed,
-	})
-	return masks, bits, err
-}
-
-// multiTargetMasks builds masks with one fault in every listed structure
-// (the paper's spatial multi-structure combination mode).
-func multiTargetMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, uint64, error) {
-	var total uint64
-	perTarget := make([][]core.Mask, len(cfg.MultiTargets))
-	for ti, name := range cfg.MultiTargets {
-		tgt, err := TargetOf(base, name)
-		if err != nil {
-			return nil, 0, err
-		}
-		total += tgt.BitLen()
-		ms, err := core.Generate(core.GenSpec{
-			Target:   name,
-			Bits:     tgt.BitLen(),
-			Model:    cfg.Model,
-			Count:    cfg.Faults,
-			WindowLo: golden.WindowLo,
-			WindowHi: golden.WindowHi,
-			BitsPer:  cfg.BitsPerFault,
-			Seed:     cfg.Seed + int64(ti)*7919,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		perTarget[ti] = ms
-	}
 	masks := make([]core.Mask, cfg.Faults)
 	for i := range masks {
-		masks[i].ID = i
-		for ti := range cfg.MultiTargets {
-			masks[i].Faults = append(masks[i].Faults, perTarget[ti][i].Faults...)
-		}
+		masks[i] = sp.Mask(cfg.Seed, i)
 	}
-	return masks, total, nil
+	return masks, bits, nil
 }
 
 // runOne drives one faulty simulation on s — a system already positioned
@@ -757,18 +731,11 @@ func stuckVal(m core.Model) uint8 {
 }
 
 // resampleLive redraws the bit coordinate until it lands in a live entry
-// (valid-only injection domain), deterministically per mask.
-//
-// RNG derivation: the stream is seeded purely from campaign-level inputs —
-// the campaign seed, the mask ID and the originally drawn bit — via the
-// shared splitmix64 scheme in internal/core (the same derivation the
-// accelerator campaigns draw their mask coordinates from). Nothing about
-// the execution schedule (worker count, which worker picked the mask, run
-// order, clone-vs-fork strategy) enters the derivation, so every mask
-// resolves to the same resampled bit no matter how the campaign is
-// parallelized.
+// (valid-only injection domain), deterministically per mask: the stream
+// is core.ResampleStream of (seed, mask ID, drawn bit), so no execution
+// schedule (worker count, run order, clone-vs-fork) enters the draw.
 func resampleLive(tgt core.Target, f core.Fault, seed int64, maskID int) uint64 {
-	st := core.SaltedStream(seed, maskID, f.Bit)
+	st := core.ResampleStream(seed, maskID, f.Bit)
 	bits := tgt.BitLen()
 	for tries := 0; tries < 512; tries++ {
 		if b := st.Uintn(bits); tgt.Live(b) {

@@ -23,12 +23,11 @@ type Explanation struct {
 }
 
 // Explain deterministically re-runs campaign fault (cfg.Seed, index) with
-// tracing on and HVF divergence analysis enabled. Mask generation is
-// prefix-stable in the fault count (see buildMasks), so the mask — and
-// therefore the verdict — is exactly what a campaign over any Faults >
-// index would record at that index. cfg.Trace, Workers, Faults and
-// OnVerdict are ignored; tracing only observes, it never changes the
-// verdict.
+// tracing on and HVF divergence analysis enabled. Mask index is derived
+// alone (see buildMasks), so the mask — and therefore the verdict — is
+// exactly what a campaign over any Faults > index records at that index.
+// cfg.Trace, Workers, Faults and OnVerdict are ignored; tracing only
+// observes, it never changes the verdict.
 func Explain(cfg Config, index int) (*Explanation, error) {
 	g, err := PrepareGolden(cfg)
 	if err != nil {
@@ -46,15 +45,13 @@ func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 	if cfg.WatchdogFactor <= 1 {
 		cfg.WatchdogFactor = 3
 	}
-	// Re-derive exactly the campaign's mask at this index: generation is a
-	// pure function of (Seed, index, geometry), so a prefix of index+1
-	// masks reproduces it bit for bit.
-	cfg.Faults = index + 1
-	masks, bits, err := buildMasks(cfg, g.base, &g.Info)
+	// Re-derive exactly the campaign's mask at this index: it is a pure
+	// function of (Seed, index, space), so no other mask is built.
+	sp, bits, err := maskSpace(cfg, g.base, &g.Info)
 	if err != nil {
 		return nil, err
 	}
-	mask := masks[index]
+	mask := sp.Mask(cfg.Seed, index)
 
 	sink := obs.NewRingSink(512)
 	cfg.Trace = sink

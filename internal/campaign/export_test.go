@@ -54,3 +54,8 @@ func RunCloneOracle(cfg Config) (*Result, error) {
 	res.AchievedMargin = metrics.Confidence(res.Counts.AVF(), len(masks), z).Half()
 	return res, nil
 }
+
+// BuildMasks derives the cfg.Faults masks a campaign over g injects.
+func BuildMasks(cfg Config, g *Golden) ([]core.Mask, uint64, error) {
+	return buildMasks(cfg, g.base, &g.Info)
+}

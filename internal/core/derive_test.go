@@ -92,3 +92,23 @@ func TestDeriveFaultCoversPopulation(t *testing.T) {
 		t.Fatalf("256 draws over 64 bits hit only %d distinct bits", len(seen))
 	}
 }
+
+// TestResampleStreamNeverAliasesMaskStreams: the live-entry resample
+// stream keyed by a drawn bit must never replay one of the mask's fault
+// streams — keyed by the bit alone, a drawn bit of 0 replayed the mask's
+// first stream (MaskStream) and bit k its k-th fault stream.
+func TestResampleStreamNeverAliasesMaskStreams(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		faults := map[uint64]bool{}
+		for k := uint64(0); k < 64; k++ {
+			s := SaltedStream(3, i, k)
+			faults[s.Next()] = true
+		}
+		for _, bit := range []uint64{0, 1, 2, 63, maxMaskFaults, maxMaskFaults + 1, 1<<40 + 5} {
+			r := ResampleStream(3, i, bit)
+			if faults[r.Next()] {
+				t.Fatalf("mask %d: resample stream of drawn bit %d replays a fault stream", i, bit)
+			}
+		}
+	}
+}

@@ -14,8 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand" //marvel:allow determinism Generate is the pinned legacy mask derivation: seeded, schedule-independent, and bit-for-bit frozen by the differential suites
-	"sort"
 )
 
 // Model is a fault model from the paper's Table III.
@@ -151,62 +149,6 @@ const (
 	// the AVF denominator and is reported separately.
 	DomainValidOnly
 )
-
-// GenSpec configures fault-mask generation for one campaign.
-type GenSpec struct {
-	Target     string // target name the masks refer to
-	Bits       uint64 // BitLen of the target
-	Model      Model
-	Count      int    // number of masks (experiments)
-	WindowLo   uint64 // first cycle of the injection window (transient)
-	WindowHi   uint64 // one past the last cycle of the window (transient)
-	BitsPer    int    // faults per mask; 0 or 1 = single-bit
-	Seed       int64
-	FixedCycle bool // inject every fault at WindowLo (directed mode)
-}
-
-// Generate produces Count fault masks with uniformly distributed bit
-// positions and injection cycles, following the statistical fault injection
-// formulation of Leveugle et al. The generation is fully deterministic for
-// a given spec.
-func Generate(spec GenSpec) ([]Mask, error) {
-	if spec.Bits == 0 {
-		return nil, fmt.Errorf("core: target %q has no injectable bits", spec.Target)
-	}
-	if spec.Count <= 0 {
-		return nil, fmt.Errorf("core: mask count must be positive, got %d", spec.Count)
-	}
-	if spec.Model == Transient && !spec.FixedCycle && spec.WindowHi <= spec.WindowLo {
-		return nil, fmt.Errorf("core: empty injection window [%d, %d)", spec.WindowLo, spec.WindowHi)
-	}
-	per := spec.BitsPer
-	if per <= 0 {
-		per = 1
-	}
-	rng := rand.New(rand.NewSource(spec.Seed)) //marvel:allow rngsource the legacy generator's populations are pinned; new derivations use DeriveFault/MaskStream
-	masks := make([]Mask, spec.Count)
-	for i := range masks {
-		faults := make([]Fault, per)
-		for j := range faults {
-			f := Fault{
-				Target: spec.Target,
-				Bit:    uint64(rng.Int63n(int64(spec.Bits))),
-				Model:  spec.Model,
-			}
-			if spec.Model == Transient {
-				if spec.FixedCycle {
-					f.Cycle = spec.WindowLo
-				} else {
-					f.Cycle = spec.WindowLo + uint64(rng.Int63n(int64(spec.WindowHi-spec.WindowLo)))
-				}
-			}
-			faults[j] = f
-		}
-		sort.Slice(faults, func(a, b int) bool { return faults[a].Cycle < faults[b].Cycle })
-		masks[i] = Mask{ID: i, Faults: faults}
-	}
-	return masks, nil
-}
 
 // SampleSize returns the number of fault injections needed for the given
 // error margin e and confidence level (expressed via the normal quantile t,

@@ -2,28 +2,20 @@ package core
 
 import "testing"
 
-// The two transient-cycle samplers — the legacy mask generator (Generate,
-// math/rand) and the schedule-independent derivation (DeriveFault,
-// splitmix64) — both sample the documented half-open window
-// [WindowLo, WindowHi). These tests pin the edges of each path: WindowLo
-// is the first sampleable cycle, WindowHi-1 the last, WindowHi itself
-// unreachable.
+// The transient-cycle sampler samples the documented half-open window
+// [WindowLo, WindowHi). These tests pin its edges, for whole masks and
+// for single DeriveFault draws: WindowLo is the first sampleable cycle,
+// WindowHi-1 the last, WindowHi itself unreachable.
 
 func TestGenerateWindowBounds(t *testing.T) {
 	const lo, hi = 40, 44
 	seenFirst, seenLast := false, false
+	sp := MaskSpace{Targets: []Structure{{"x", 8}, {"y", 8}}, Model: Transient, BitsPer: 2, WindowLo: lo, WindowHi: hi}
 	for seed := int64(0); seed < 64; seed++ {
-		masks, err := Generate(GenSpec{
-			Target: "x", Bits: 8, Model: Transient, Count: 64,
-			WindowLo: lo, WindowHi: hi, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range masks {
-			for _, f := range m.Faults {
+		for i := 0; i < 64; i++ {
+			for _, f := range sp.Mask(seed, i).Faults {
 				if f.Cycle < lo || f.Cycle >= hi {
-					t.Fatalf("seed %d mask %d: cycle %d outside [%d, %d)", seed, m.ID, f.Cycle, lo, hi)
+					t.Fatalf("seed %d mask %d: cycle %d outside [%d, %d)", seed, i, f.Cycle, lo, hi)
 				}
 				seenFirst = seenFirst || f.Cycle == lo
 				seenLast = seenLast || f.Cycle == hi-1

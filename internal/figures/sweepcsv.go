@@ -74,9 +74,15 @@ func figureIDs(c sweep.Cell) string {
 // SweepWAVF aggregates the execution-time-weighted AVF (§V-A) per
 // (ISA, target, model) group of a sweep's CPU cells, returned as
 // "isa/target/model" → wAVF. It is the aggregate row under each of
-// Figures 4–13.
+// Figures 4–8.
 func SweepWAVF(cells []sweep.CellReport) map[string]float64 {
-	type group struct{ avfs, ts []float64 }
+	return weightedBy(cells, AVF)
+}
+
+// weightedBy is SweepWAVF over any per-cell metric (Figures 9–13 weight
+// the SDC AVF).
+func weightedBy(cells []sweep.CellReport, metric func(sweep.CellReport) float64) map[string]float64 {
+	type group struct{ vals, ts []float64 }
 	groups := map[string]*group{}
 	for _, c := range cells {
 		if c.Cell.Kind != sweep.KindCPU {
@@ -88,12 +94,12 @@ func SweepWAVF(cells []sweep.CellReport) map[string]float64 {
 			g = &group{}
 			groups[k] = g
 		}
-		g.avfs = append(g.avfs, c.AVF)
+		g.vals = append(g.vals, metric(c))
 		g.ts = append(g.ts, float64(c.GoldenCycles))
 	}
 	out := make(map[string]float64, len(groups))
 	for k, g := range groups {
-		out[k] = metrics.WeightedAVF(g.avfs, g.ts)
+		out[k] = metrics.WeightedAVF(g.vals, g.ts)
 	}
 	return out
 }

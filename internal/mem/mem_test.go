@@ -451,29 +451,21 @@ func TestHierarchyMatchesShadowModel(t *testing.T) {
 }
 
 func TestGenerateMasks(t *testing.T) {
-	masks, err := core.Generate(core.GenSpec{
-		Target: "l1d", Bits: 1 << 18, Model: core.Transient,
-		Count: 100, WindowLo: 10, WindowHi: 1000, Seed: 42,
-	})
-	if err != nil {
+	sp := core.MaskSpace{
+		Targets: []core.Structure{{Name: "l1d", Bits: 1 << 18}}, Model: core.Transient,
+		WindowLo: 10, WindowHi: 1000,
+	}
+	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(masks) != 100 {
-		t.Fatalf("got %d masks", len(masks))
-	}
-	for _, m := range masks {
+	for i := 0; i < 100; i++ {
+		m := sp.Mask(42, i)
 		f := m.Faults[0]
-		if f.Bit >= 1<<18 || f.Cycle < 10 || f.Cycle >= 1000 {
-			t.Fatalf("mask out of range: %+v", f)
+		if len(m.Faults) != 1 || f.Bit >= 1<<18 || f.Cycle < 10 || f.Cycle >= 1000 {
+			t.Fatalf("mask out of range: %+v", m)
 		}
-	}
-	// Determinism.
-	again, _ := core.Generate(core.GenSpec{
-		Target: "l1d", Bits: 1 << 18, Model: core.Transient,
-		Count: 100, WindowLo: 10, WindowHi: 1000, Seed: 42,
-	})
-	for i := range masks {
-		if masks[i].Faults[0] != again[i].Faults[0] {
+		// Determinism.
+		if again := sp.Mask(42, i); again.Faults[0] != f {
 			t.Fatal("generation is not deterministic")
 		}
 	}

@@ -11,8 +11,10 @@ import (
 )
 
 // pinnedCPUDigests are sweep.DigestCPURecords values (and golden cycle
-// counts) recorded on commit 86def8d, before the CPU front end gained its
-// decoded-instruction memo. The fork≡clone, kernel≡oracle and sweep≡
+// counts) recorded on the commit "One fault derivation for both engines"
+// (parent 73e8689), when CPU masks moved onto core.MaskSpace; the golden
+// cycle counts are unchanged since commit 86def8d, before the CPU front
+// end gained its decoded-instruction memo. The fork≡clone, kernel≡oracle and sweep≡
 // standalone suites run the same core on both sides of each comparison,
 // so they cannot see a front-end change that alters timing or decode
 // identically everywhere; these constants can. The l1i cells matter most:
@@ -23,36 +25,36 @@ var pinnedCPUDigests = map[string]struct {
 	digest string
 	golden uint64
 }{
-	"cpu/arm/sha/prf/transient":    {"ba8a33679803ca3e", 5446},
-	"cpu/arm/sha/prf/stuck-at-1":   {"787f90788caa5544", 5446},
-	"cpu/arm/sha/l1i/transient":    {"5b99ad32ebf1dbf2", 5446},
-	"cpu/arm/sha/l1i/stuck-at-1":   {"eaf55528e36880b0", 5446},
-	"cpu/arm/sha/l1d/transient":    {"dac864800b8a7c0e", 5446},
-	"cpu/arm/sha/l1d/stuck-at-1":   {"ec583e16f3d7b7a7", 5446},
-	"cpu/arm/sha/lq/transient":     {"44aa1ead059accac", 5446},
-	"cpu/arm/sha/lq/stuck-at-1":    {"5ae852f18343443d", 5446},
-	"cpu/arm/sha/sq/transient":     {"8e74e2937490570b", 5446},
-	"cpu/arm/sha/sq/stuck-at-1":    {"d17369427601237b", 5446},
-	"cpu/x86/sha/prf/transient":    {"d0473bf90b70e4a4", 9339},
-	"cpu/x86/sha/prf/stuck-at-1":   {"62b424e549445134", 9339},
-	"cpu/x86/sha/l1i/transient":    {"7b62e2fa76c8731f", 9339},
-	"cpu/x86/sha/l1i/stuck-at-1":   {"eff786d366e59721", 9339},
-	"cpu/x86/sha/l1d/transient":    {"cce8b3561f930395", 9339},
-	"cpu/x86/sha/l1d/stuck-at-1":   {"8893710d930d1e17", 9339},
-	"cpu/x86/sha/lq/transient":     {"f1eb11ae1ce7db0e", 9339},
-	"cpu/x86/sha/lq/stuck-at-1":    {"5bbf17059aad72e8", 9339},
-	"cpu/x86/sha/sq/transient":     {"538c009b080dffb7", 9339},
-	"cpu/x86/sha/sq/stuck-at-1":    {"99a97e8d606439db", 9339},
-	"cpu/riscv/sha/prf/transient":  {"5f2f0aa348ea3176", 6240},
-	"cpu/riscv/sha/prf/stuck-at-1": {"64e994d633226b24", 6240},
-	"cpu/riscv/sha/l1i/transient":  {"bb1949794aada62c", 6240},
-	"cpu/riscv/sha/l1i/stuck-at-1": {"0fc25191501d9442", 6240},
-	"cpu/riscv/sha/l1d/transient":  {"4bd5f83cb1a93cf6", 6240},
-	"cpu/riscv/sha/l1d/stuck-at-1": {"7428cde7d2821583", 6240},
-	"cpu/riscv/sha/lq/transient":   {"bbea5a019a479f40", 6240},
-	"cpu/riscv/sha/lq/stuck-at-1":  {"3a6b697adf038db9", 6240},
-	"cpu/riscv/sha/sq/transient":   {"a92cca7bb5189d16", 6240},
-	"cpu/riscv/sha/sq/stuck-at-1":  {"73d7893fb18059da", 6240},
+	"cpu/arm/sha/prf/transient":    {"7e5be491b5a79e12", 5446},
+	"cpu/arm/sha/prf/stuck-at-1":   {"22417ec9293df1f2", 5446},
+	"cpu/arm/sha/l1i/transient":    {"79bb41ad38472f29", 5446},
+	"cpu/arm/sha/l1i/stuck-at-1":   {"36feeb0e2772cb6e", 5446},
+	"cpu/arm/sha/l1d/transient":    {"5689bfab0002739e", 5446},
+	"cpu/arm/sha/l1d/stuck-at-1":   {"35ead201d72df129", 5446},
+	"cpu/arm/sha/lq/transient":     {"696a25ebaa45e27e", 5446},
+	"cpu/arm/sha/lq/stuck-at-1":    {"eb2c4282aedefbb1", 5446},
+	"cpu/arm/sha/sq/transient":     {"df3966b956c6dd2e", 5446},
+	"cpu/arm/sha/sq/stuck-at-1":    {"8d984acd3612cb5a", 5446},
+	"cpu/x86/sha/prf/transient":    {"71a6b7115095188a", 9339},
+	"cpu/x86/sha/prf/stuck-at-1":   {"0f8059aeb8185b48", 9339},
+	"cpu/x86/sha/l1i/transient":    {"b106fbb4e0927977", 9339},
+	"cpu/x86/sha/l1i/stuck-at-1":   {"17fd410e54662983", 9339},
+	"cpu/x86/sha/l1d/transient":    {"e0816e75cd217660", 9339},
+	"cpu/x86/sha/l1d/stuck-at-1":   {"b986585f5993b115", 9339},
+	"cpu/x86/sha/lq/transient":     {"67f301412f88bad5", 9339},
+	"cpu/x86/sha/lq/stuck-at-1":    {"10febc5312410e0d", 9339},
+	"cpu/x86/sha/sq/transient":     {"2080e9a10c2cf188", 9339},
+	"cpu/x86/sha/sq/stuck-at-1":    {"b4c197eb7487261f", 9339},
+	"cpu/riscv/sha/prf/transient":  {"f6a903a85a49ab03", 6240},
+	"cpu/riscv/sha/prf/stuck-at-1": {"1358d0ce762bd3c0", 6240},
+	"cpu/riscv/sha/l1i/transient":  {"7473a5382e8fba46", 6240},
+	"cpu/riscv/sha/l1i/stuck-at-1": {"7339efae2fd210a2", 6240},
+	"cpu/riscv/sha/l1d/transient":  {"e6cfacc0fac500ac", 6240},
+	"cpu/riscv/sha/l1d/stuck-at-1": {"97c4fad252d600d1", 6240},
+	"cpu/riscv/sha/lq/transient":   {"5215b48b610b35ba", 6240},
+	"cpu/riscv/sha/lq/stuck-at-1":  {"89ff66d3c7b70971", 6240},
+	"cpu/riscv/sha/sq/transient":   {"c381cc92d2e8ab22", 6240},
+	"cpu/riscv/sha/sq/stuck-at-1":  {"8971891a8a6bf3d4", 6240},
 }
 
 // TestCPUDigestsPinned re-runs the pinned grid — 3 ISAs × sha ×

@@ -25,7 +25,7 @@
 #   5. bench guard: the forking ablations and tracing-overhead benches
 #      compile and run, the checkpoint ladder demonstrably cuts
 #      pre-injection replay at least 2x on a long-window workload, and
-#      span profiling costs < 5% end-to-end on a parallel campaign
+#      span profiling costs < 5% host CPU time on a one-worker campaign
 #   6. explain smoke test: the CLI narrates a known-SDC fault end to end
 #   7. server race job: the campaign service's worker pool, golden LRU,
 #      event streams and drain under the race detector, with served-vs-
@@ -146,7 +146,8 @@ for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCP
 	}
 done
 # The facade's campaigns run as one-cell sweep grids; their reports stay
-# pinned on values recorded before they did.
+# pinned (accelerator cases on values recorded before they did, CPU cases
+# since CPU masks moved onto core.MaskSpace).
 for t in TestFacadeReportsPinned; do
 	go test -run "^${t}\$" -v . | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: differential guard: ${t} did not run/pass" >&2
@@ -218,13 +219,15 @@ go test -run '^$' -bench '^BenchmarkCampaignAdaptive$' -benchtime 1x .
 
 echo "== bench guard: profiling overhead < 5% =="
 # BenchmarkProfilingOverhead fails (b.Fatalf) if attaching a profiler to
-# a parallel campaign costs more than 5% of end-to-end wall-clock.
+# a one-worker campaign costs more than 5% host CPU time (median of
+# paired off/on runs), or as inconclusive if its pairs never agree.
 go test -run '^$' -bench '^BenchmarkProfilingOverhead$' -benchtime 1x .
 
 echo "== explain smoke test: narrate a known-SDC fault =="
-# riscv/crc32/prf seed 1 index 10 classifies as SDC on the fast preset
-# (pinned by the mask generator's pure (seed, index) derivation); the
-# narrator must surface the divergence event and the SDC conclusion.
+# riscv/crc32/prf seed 1 index 10 is the first SDC of that campaign on
+# the fast preset (indices 0-9 mask or crash; pinned by core.MaskSpace's
+# pure (seed, index) derivation); the narrator must surface the
+# divergence event and the SDC conclusion.
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 go run ./cmd/marvel explain -isa riscv -workload crc32 -target prf \
