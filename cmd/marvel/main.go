@@ -126,7 +126,7 @@ func cmdCampaign(args []string) error {
 	target := fs.String("target", "prf", "injection target: "+strings.Join(marvel.CPUTargets(), ", ")+`; a "+"-joined combo (prf+rob+iq) selects multi-structure mode`)
 	model := fs.String("model", "transient", "fault model: transient, stuck-at-0, stuck-at-1")
 	sz := bindSizing(fs, "faults", "seed", "bits", "hvf", "validonly", "earlyterm", "watchdog", "physregs",
-		"workers", "ladder", "margin", "confidence", "preset", "debug-addr", "timeline")
+		"workers", "ladder", "margin", "confidence", "preset", "debug-addr", "timeline", "cpuprofile", "memprofile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -134,17 +134,17 @@ func cmdCampaign(args []string) error {
 	if err := opts.Validate(); err != nil {
 		return usageError{err}
 	}
-	reg, tl, stop, err := sz.observe(nil)
+	reg, ob, err := sz.observe(nil)
 	if err != nil {
 		return err
 	}
-	defer stop()
-	opts.Metrics, opts.Profile = reg, tl.profiler()
+	defer ob.stop()
+	opts.Metrics, opts.Profile = reg, ob.profiler()
 	rep, err := marvel.RunCampaign(opts)
 	if err != nil {
 		return err
 	}
-	if err := tl.finish(); err != nil {
+	if err := ob.finish(); err != nil {
 		return err
 	}
 	fmt.Printf("workload=%s isa=%s target=%s model=%s\n", rep.Workload, rep.ISA, rep.Target, rep.Model)
@@ -252,7 +252,7 @@ func cmdSweep(args []string) error {
 	comps := fs.String("components", "", "comma-separated components (empty = every Table IV component)")
 	models := fs.String("models", "", "comma-separated fault models (empty = transient)")
 	sz := bindSizing(fs, "faults", "seed", "bits", "hvf", "validonly", "earlyterm", "watchdog", "physregs",
-		"preset", "ladder", "margin", "confidence", "workers", "debug-addr", "timeline")
+		"preset", "ladder", "margin", "confidence", "workers", "debug-addr", "timeline", "cpuprofile", "memprofile")
 	cellPar := fs.Int("cellpar", 0, "concurrent cells (0 = up to 3)")
 	out := fs.String("out", "", "persist + resume directory (manifest.json, cells.jsonl)")
 	resume := fs.Bool("resume", false, "require an existing sweep journal in -out and resume it (fail instead of silently starting fresh)")
@@ -301,12 +301,12 @@ func cmdSweep(args []string) error {
 	if *progressJSONL != "" {
 		spec.Metrics = marvel.NewMetricsRegistry()
 	}
-	reg, tl, stop, err := sz.observe(spec.Metrics)
+	reg, ob, err := sz.observe(spec.Metrics)
 	if err != nil {
 		return err
 	}
-	defer stop()
-	spec.Metrics, spec.Profile = reg, tl.profiler()
+	defer ob.stop()
+	spec.Metrics, spec.Profile = reg, ob.profiler()
 	if !*quiet {
 		var lastDraw time.Time
 		spec.OnProgress = func(s sweep.Snapshot) {
@@ -376,7 +376,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := tl.finish(); err != nil {
+	if err := ob.finish(); err != nil {
 		return err
 	}
 	if progressFile != nil {
@@ -526,7 +526,8 @@ func cmdAccel(args []string) error {
 	comp := fs.String("component", "MATRIX1", "Table IV component")
 	model := fs.String("model", "transient", "fault model")
 	mults := fs.Int("gemm-multipliers", 0, "gemm datapath multipliers (DSE)")
-	sz := bindSizing(fs, "faults", "seed", "workers", "ladder", "margin", "confidence", "debug-addr", "timeline")
+	sz := bindSizing(fs, "faults", "seed", "workers", "ladder", "margin", "confidence", "debug-addr", "timeline",
+		"cpuprofile", "memprofile")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -535,17 +536,17 @@ func cmdAccel(args []string) error {
 	if err := opts.Validate(); err != nil {
 		return usageError{err}
 	}
-	reg, tl, stop, err := sz.observe(nil)
+	reg, ob, err := sz.observe(nil)
 	if err != nil {
 		return err
 	}
-	defer stop()
-	opts.Metrics, opts.Profile = reg, tl.profiler()
+	defer ob.stop()
+	opts.Metrics, opts.Profile = reg, ob.profiler()
 	rep, err := marvel.RunAccelCampaign(opts)
 	if err != nil {
 		return err
 	}
-	if err := tl.finish(); err != nil {
+	if err := ob.finish(); err != nil {
 		return err
 	}
 	fmt.Printf("design=%s component=%s task=%d cycles area=%.1f\n",

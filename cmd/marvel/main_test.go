@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -152,6 +155,42 @@ func TestCampaignSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "AVF=") || !strings.Contains(stdout, "masked=") {
 		t.Errorf("campaign output missing verdict summary:\n%s", stdout)
+	}
+}
+
+// TestProfileFlagsWritePprof checks that -cpuprofile and -memprofile on
+// campaign, accel and sweep each leave a non-empty gzip-compressed pprof
+// file behind.
+func TestProfileFlagsWritePprof(t *testing.T) {
+	for _, args := range [][]string{
+		{"campaign", "-isa", "riscv", "-workload", "crc32", "-target", "prf", "-faults", "4", "-preset", "fast"},
+		{"accel", "-design", "gemm", "-component", "MATRIX1", "-faults", "4"},
+		{"sweep", "-isas", "riscv", "-workloads", "crc32", "-targets", "prf", "-faults", "4", "-preset", "fast", "-quiet"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+			if _, stderr, code := runCLI(t, append(args, "-cpuprofile", cpu, "-memprofile", heap)...); code != 0 {
+				t.Fatalf("%s exited %d: %s", args[0], code, stderr)
+			}
+			for _, path := range []string{cpu, heap} {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zr, err := gzip.NewReader(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatalf("%s: not gzip: %v", filepath.Base(path), err)
+				}
+				body, err := io.ReadAll(zr)
+				if err != nil {
+					t.Fatalf("%s: %v", filepath.Base(path), err)
+				}
+				if len(body) == 0 {
+					t.Errorf("%s: empty profile", filepath.Base(path))
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"marvel"
 	"marvel/internal/obs"
@@ -19,6 +21,7 @@ type sizing struct {
 	margin, confidence, watchdog            float64
 	validOnly, earlyTerm, hvf               bool
 	preset, debugAddr, timeline             string
+	cpuProfile, memProfile                  string
 }
 
 // bindSizing declares the named shared flags on fs.
@@ -56,6 +59,10 @@ func bindSizing(fs *flag.FlagSet, names ...string) *sizing {
 			fs.StringVar(&s.debugAddr, name, "", "serve live /metrics, /debug/vars and /debug/pprof/ on this address while the run lasts (e.g. localhost:6060)")
 		case "timeline":
 			fs.StringVar(&s.timeline, name, "", "write a per-worker Chrome trace-event timeline (Perfetto-loadable) to this file and print a where-the-time-went table; verdicts are bit-identical with and without it")
+		case "cpuprofile":
+			fs.StringVar(&s.cpuProfile, name, "", "write a pprof CPU profile of the run to this file")
+		case "memprofile":
+			fs.StringVar(&s.memProfile, name, "", "write a pprof heap profile, taken after the run, to this file")
 		default:
 			panic("marvel: no shared flag " + name)
 		}
@@ -101,30 +108,104 @@ func (s *sizing) accel(design, component, model string) marvel.AccelOptions {
 	}
 }
 
-// observe starts what -debug-addr and -timeline ask for: the debug
-// endpoint over reg (created if nil) and the timeline profiler, attached
-// to the registry. The caller defers stop and finishes tl after the run.
-func (s *sizing) observe(reg *obs.Registry) (_ *obs.Registry, tl *timelineRun, stop func(), err error) {
-	stop = func() {}
+// observed is what the observer flags started for one run. profiler is
+// the run's span profiler (nil without -timeline); finish ends the
+// observers after the run succeeded; stop, deferred by the caller, shuts
+// the debug endpoint and drops a CPU profile that finish never ended.
+type observed struct {
+	tl        *timelineRun
+	cpuProf   *os.File // open while the CPU profile runs
+	memProf   string
+	stopDebug func()
+}
+
+// observe starts what -debug-addr, -timeline, -cpuprofile and -memprofile
+// ask for: the debug endpoint over reg (created if nil), the timeline
+// profiler attached to the registry, and the CPU profile.
+func (s *sizing) observe(reg *obs.Registry) (*obs.Registry, *observed, error) {
+	o := &observed{memProf: s.memProfile, stopDebug: func() {}}
 	if s.debugAddr != "" {
 		if reg == nil {
 			reg = marvel.NewMetricsRegistry()
 		}
 		srv, err := marvel.ServeDebug(s.debugAddr, reg)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		stop = func() { _ = srv.Close() } // shutdown after the run: nothing left to report to
+		o.stopDebug = func() { _ = srv.Close() } // shutdown after the run: nothing left to report to
 		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics (also /debug/vars, /debug/pprof/)\n", srv.Addr)
 	}
 	if s.timeline != "" {
-		if tl, err = startTimeline(s.timeline); err != nil {
-			stop()
-			return nil, nil, nil, err
+		tl, err := startTimeline(s.timeline)
+		if err != nil {
+			o.stop()
+			return nil, nil, err
 		}
+		o.tl = tl
 		if reg != nil {
 			reg.AttachProfiler(tl.prof)
 		}
 	}
-	return reg, tl, stop, nil
+	if s.cpuProfile != "" {
+		f, err := os.Create(s.cpuProfile)
+		if err != nil {
+			o.stop()
+			return nil, nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			_ = f.Close() // the profile never started; its error is the one to report
+			o.stop()
+			return nil, nil, err
+		}
+		o.cpuProf = f
+	}
+	return reg, o, nil
+}
+
+// profiler is the run's span profiler; nil when no -timeline was asked for.
+func (o *observed) profiler() *obs.Profiler { return o.tl.profiler() }
+
+// finish ends the observers of a run that succeeded: it stops and closes
+// the CPU profile, writes the heap profile, and closes the timeline and
+// prints its where-the-time-went table.
+func (o *observed) finish() error {
+	if f := o.cpuProf; f != nil {
+		o.cpuProf = nil
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	if o.memProf != "" {
+		if err := writeHeapProfile(o.memProf); err != nil {
+			return err
+		}
+	}
+	return o.tl.finish()
+}
+
+// stop shuts the debug endpoint and, when the run failed before finish,
+// stops the CPU profile.
+func (o *observed) stop() {
+	if f := o.cpuProf; f != nil {
+		o.cpuProf = nil
+		pprof.StopCPUProfile()
+		_ = f.Close() // the run failed; its error is the one to report
+	}
+	o.stopDebug()
+}
+
+// writeHeapProfile writes a heap profile, as of a fresh garbage
+// collection, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
 }

@@ -76,8 +76,9 @@ func (s *Standalone) Forked() bool { return s.golden != nil }
 
 // snapshot freezes the harness's current state — possibly mid-task — into
 // an independent Standalone that can serve as a fork base (a checkpoint
-// ladder rung). The host memory is flattened into a deep copy and the
-// cluster is deep-copied, so the receiver may keep running afterwards.
+// ladder rung). The host memory is cloned, sharing its pages until either
+// side writes them, and the cluster is deep-copied, so the receiver may
+// keep running afterwards.
 func (s *Standalone) snapshot() *Standalone {
 	h := s.Host.Clone()
 	return &Standalone{Host: h, Cluster: s.Cluster.Clone(MemHostPort{h}), task: s.task}

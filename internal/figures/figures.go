@@ -49,17 +49,19 @@ func (p *Params) defaults() error {
 }
 
 // cpuGrid is the sweep grid of CPU-side figures: ISAs × the workload
-// subset × targets under one model, valid-only, at Seed.
+// subset × targets under one model, valid-only, at Seed, forking from an
+// 8-rung checkpoint ladder (verdict-identical to a single checkpoint).
 func (p Params) cpuGrid(isas, targets []string, model core.Model, goldens sweep.GoldenCache) sweep.Spec {
 	return sweep.Spec{
-		ISAs:      isas,
-		Workloads: p.Workloads,
-		Targets:   targets,
-		Models:    []string{model.String()},
-		Faults:    p.Faults,
-		Seed:      Seed,
-		ValidOnly: true,
-		Goldens:   goldens,
+		ISAs:        isas,
+		Workloads:   p.Workloads,
+		Targets:     targets,
+		Models:      []string{model.String()},
+		Faults:      p.Faults,
+		Seed:        Seed,
+		ValidOnly:   true,
+		LadderRungs: 8,
+		Goldens:     goldens,
 	}
 }
 

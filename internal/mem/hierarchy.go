@@ -120,7 +120,8 @@ func (h *Hierarchy) ReadBack(addr uint64, buf []byte) error {
 	return nil
 }
 
-// Clone deep-copies the hierarchy and memory; the MMIO bus is shared (its
+// Clone deep-copies the caches and clones the memory (whose pages stay
+// shared until either side writes them); the MMIO bus is shared (its
 // devices are cloned by the SoC layer, which re-maps them).
 func (h *Hierarchy) Clone() *Hierarchy {
 	n := &Hierarchy{Mem: h.Mem.Clone(), Bus: h.Bus, MMIOBase: h.MMIOBase}

@@ -1,4 +1,4 @@
-// Package mem models the memory system of the simulated SoC: a flat main
+// Package mem models the memory system of the simulated SoC: a paged main
 // memory, set-associative write-back caches with tree-PLRU replacement
 // (the replacement policy gem5 documents and the paper's validation program
 // warms up against), a three-level hierarchy (split L1I/L1D over a unified
@@ -26,12 +26,17 @@ func (e *AccessError) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x", op, e.Addr)
 }
 
-// CoW page geometry. Pages are the unit of sharing between a golden
-// memory snapshot and the faulty runs forked from it.
+// Page geometry. Pages are the unit of sharing between a memory and its
+// clones and forks.
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 )
+
+// page is one page's bytes. The last page of a memory whose size is not a
+// multiple of pageSize is allocated whole; Contains keeps accesses off its
+// tail.
+type page [pageSize]byte
 
 // CoWStats counts copy-on-write activity on a forked memory.
 type CoWStats struct {
@@ -42,32 +47,38 @@ type CoWStats struct {
 	Resets uint64
 }
 
-// Memory is the backing store for a contiguous physical range. It runs in
-// one of two modes: a flat mode holding its own bytes (golden systems),
-// and a copy-on-write mode produced by Fork, where reads are served from a
-// shared read-only golden image and writes materialize private pages.
+// Memory is the backing store for a contiguous physical range, held as a
+// table of 4 KiB pages. A nil page reads as zeros, so a fresh memory
+// allocates only the pages that get written. Clone and Fork copy only the
+// page table and share every page buffer; the first write to a page a
+// memory does not own materializes a private copy, so no memory ever
+// writes a buffer another one can see.
 type Memory struct {
 	base    uint64
 	size    int
 	latency int
 
-	// Flat mode.
-	data []byte
+	pages []*page
+	// owned[p] reports that pages[p] is private to this memory and may be
+	// written in place.
+	owned []bool
 
-	// CoW mode (golden != nil): pages[p] is consulted only while
-	// pageDirty[p] is set; Reset clears the dirty bits without freeing the
-	// page buffers, so reuse across faulty runs allocates nothing.
-	golden    []byte
-	pages     [][]byte
-	pageDirty []bool
-	dirtyList []int
-	cow       CoWStats
+	// Fork state (golden != nil): golden is the page table Reset restores,
+	// dirty lists the pages materialized since the last Reset, and
+	// spare[p] is the private buffer page p last materialized into, which
+	// Reset keeps so re-dirtying the page allocates nothing.
+	golden []*page
+	dirty  []int
+	spare  []*page
+	cow    CoWStats
 }
 
-// NewMemory creates size bytes of memory starting at base with the given
-// access latency in cycles.
+// NewMemory creates size bytes of zeroed memory starting at base with the
+// given access latency in cycles.
 func NewMemory(base uint64, size int, latency int) *Memory {
-	return &Memory{base: base, size: size, data: make([]byte, size), latency: latency}
+	np := (size + pageSize - 1) / pageSize
+	return &Memory{base: base, size: size, latency: latency,
+		pages: make([]*page, np), owned: make([]bool, np)}
 }
 
 // Base returns the first mapped address.
@@ -89,24 +100,16 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 	if !m.Contains(addr, len(buf)) {
 		return &AccessError{Addr: addr}
 	}
-	off := addr - m.base
-	if m.golden == nil {
-		copy(buf, m.data[off:])
-		return nil
-	}
+	off := int(addr - m.base)
 	for len(buf) > 0 {
-		p := int(off >> pageShift)
-		po := int(off & (pageSize - 1))
-		n := pageSize - po
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if m.pageDirty[p] {
-			copy(buf[:n], m.pages[p][po:])
+		p, po := off>>pageShift, off&(pageSize-1)
+		n := min(pageSize-po, len(buf))
+		if pg := m.pages[p]; pg != nil {
+			copy(buf[:n], pg[po:])
 		} else {
-			copy(buf[:n], m.golden[off:])
+			clear(buf[:n])
 		}
-		off += uint64(n)
+		off += n
 		buf = buf[n:]
 	}
 	return nil
@@ -117,100 +120,103 @@ func (m *Memory) Write(addr uint64, data []byte) error {
 	if !m.Contains(addr, len(data)) {
 		return &AccessError{Addr: addr, Write: true}
 	}
-	off := addr - m.base
-	if m.golden == nil {
-		copy(m.data[off:], data)
-		return nil
-	}
+	off := int(addr - m.base)
 	for len(data) > 0 {
-		p := int(off >> pageShift)
-		po := int(off & (pageSize - 1))
-		n := pageSize - po
-		if n > len(data) {
-			n = len(data)
-		}
-		if !m.pageDirty[p] {
+		p, po := off>>pageShift, off&(pageSize-1)
+		n := min(pageSize-po, len(data))
+		if !m.owned[p] {
 			m.materialize(p)
 		}
 		copy(m.pages[p][po:], data[:n])
-		off += uint64(n)
+		off += n
 		data = data[n:]
 	}
 	return nil
 }
 
-// materialize gives page p a private copy of the golden bytes.
+// materialize gives page p a private copy of its current bytes, reusing a
+// fork's spare buffer when it has one.
 func (m *Memory) materialize(p int) {
-	lo := p << pageShift
-	hi := lo + pageSize
-	if hi > m.size {
-		hi = m.size
+	var buf *page
+	if m.golden != nil {
+		if m.spare[p] == nil {
+			m.spare[p] = new(page)
+		}
+		buf = m.spare[p]
+		m.dirty = append(m.dirty, p)
+		m.cow.PagesCopied++
+	} else {
+		buf = new(page)
 	}
-	if m.pages[p] == nil {
-		m.pages[p] = make([]byte, hi-lo)
+	if src := m.pages[p]; src != nil {
+		*buf = *src
+	} else {
+		*buf = page{}
 	}
-	copy(m.pages[p], m.golden[lo:hi])
-	m.pageDirty[p] = true
-	m.dirtyList = append(m.dirtyList, p)
-	m.cow.PagesCopied++
+	m.pages[p] = buf
+	m.owned[p] = true
 }
 
-// Fork returns a copy-on-write view of the memory: reads come from the
-// (now shared, read-only) current image, writes land in private pages.
-// Several forks may share one golden image; each must be used by a single
-// goroutine. The receiver must not be written to afterwards.
+// Fork returns a copy-on-write view of the memory that Reset rolls back
+// to the current image. The receiver is the frozen golden image: it must
+// not be written afterwards, and Fork does not modify it, so many forks
+// may be taken from one image concurrently. Each fork must be used by a
+// single goroutine.
 func (m *Memory) Fork() *Memory {
-	np := (m.size + pageSize - 1) / pageSize
+	np := len(m.pages)
 	return &Memory{
-		base:      m.base,
-		size:      m.size,
-		latency:   m.latency,
-		golden:    m.flat(),
-		pages:     make([][]byte, np),
-		pageDirty: make([]bool, np),
+		base:    m.base,
+		size:    m.size,
+		latency: m.latency,
+		pages:   append([]*page(nil), m.pages...),
+		owned:   make([]bool, np),
+		golden:  append([]*page(nil), m.pages...),
+		spare:   make([]*page, np),
 	}
 }
 
-// Reset rolls a forked memory back to the golden image by dropping every
-// dirty page — O(dirty pages), no allocation, no copying. Flat memories
-// ignore it.
+// Reset rolls a forked memory back to the golden image by restoring the
+// golden page pointers of every dirty page: O(dirty pages), no allocation,
+// no copying. Memories that are not forks ignore it.
 func (m *Memory) Reset() {
 	if m.golden == nil {
 		return
 	}
-	for _, p := range m.dirtyList {
-		m.pageDirty[p] = false
+	for _, p := range m.dirty {
+		m.pages[p] = m.golden[p]
+		m.owned[p] = false
 	}
-	m.dirtyList = m.dirtyList[:0]
+	m.dirty = m.dirty[:0]
 	m.cow.Resets++
 }
 
-// CoW returns the fork's copy-on-write counters (zero for flat memories).
+// CoW returns the fork's copy-on-write counters (zero for memories that
+// are not forks).
 func (m *Memory) CoW() CoWStats { return m.cow }
 
-// flat returns the full current image as one contiguous slice; for a flat
-// memory this is its own storage (no copy).
-func (m *Memory) flat() []byte {
-	if m.golden == nil {
-		return m.data
-	}
-	out := append([]byte(nil), m.golden...)
-	for _, p := range m.dirtyList {
-		copy(out[p<<pageShift:], m.pages[p])
-	}
-	return out
-}
-
-// Clone returns an independent flat deep copy for checkpointing (CoW
-// forks are flattened).
+// Clone returns an independent memory holding the current image, for
+// checkpointing; it is not a fork. The clone shares every page buffer
+// with the receiver, and the receiver gives up ownership of its pages so
+// that it may keep running without writing a shared buffer in place.
+// That is the only change to the receiver, and it writes nothing when
+// the receiver owns no pages (as with every Clone result and every
+// unwritten Fork), so such snapshots may be cloned concurrently.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{base: m.base, size: m.size, latency: m.latency}
-	if m.golden == nil {
-		c.data = append([]byte(nil), m.data...)
-	} else {
-		c.data = m.flat() // flat already returns a fresh copy here
+	for p, own := range m.owned {
+		if own {
+			m.owned[p] = false
+			if m.golden != nil {
+				m.spare[p] = nil // now shared with the clone
+			}
+		}
 	}
-	return c
+	return &Memory{
+		base:    m.base,
+		size:    m.size,
+		latency: m.latency,
+		pages:   append([]*page(nil), m.pages...),
+		owned:   make([]bool, len(m.pages)),
+	}
 }
 
 // Handler is a device mapped on the MMIO bus.

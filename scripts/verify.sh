@@ -26,6 +26,9 @@
 #      compile and run, the checkpoint ladder demonstrably cuts
 #      pre-injection replay at least 2x on a long-window workload, and
 #      span profiling costs < 5% host CPU time on a one-worker campaign
+#   5b. heap gate: a brief perfbench run per workload must keep
+#      heap_peak_mb within its BENCHMARK.json bound of the newest
+#      BENCH_*.json ledger record (timing metrics only warn)
 #   6. explain smoke test: the CLI narrates a known-SDC fault end to end
 #   7. server race job: the campaign service's worker pool, golden LRU,
 #      event streams and drain under the race detector, with served-vs-
@@ -77,6 +80,12 @@ echo "== race: parallel accel campaign determinism =="
 go test -race -run 'TestAccelCampaignWorkerInvariance|TestStandaloneForkResetEquivalence' ./internal/accel
 go test -race -run 'TestAccelCampaignEquivalenceStuckAt0|TestAccelMaskPopulationWindowIndependentOfSchedule' ./internal/accel
 go test -race -run 'TestAccelTracingDoesNotChangeVerdicts|TestAccelForkStatsUnderParallelWorkers' ./internal/accel
+
+echo "== race: paged memory shared between goroutines =="
+# Checkpoints, rungs and forks share page buffers: a snapshot forked and
+# cloned from several goroutines while its source keeps running must
+# never see a write, and no write may race with a read of a shared page.
+go test -race -count=3 -run '^TestMemorySnapshotSharedAcrossGoroutines$' ./internal/mem
 
 echo "== race: checkpoint-ladder dispatch equivalence =="
 # The ladder's rung-sorted dispatch and per-rung scratch systems are the
@@ -223,6 +232,28 @@ echo "== bench guard: profiling overhead < 5% =="
 # paired off/on runs), or as inconclusive if its pairs never agree.
 go test -run '^$' -bench '^BenchmarkProfilingOverhead$' -benchtime 1x .
 
+echo "== heap gate: perfbench heap_peak_mb vs the newest BENCH_*.json =="
+# One brief untraced run per workload (perfbench measures at least two
+# passes however short --seconds is). heap_peak_mb worse than the newest
+# ledger record by more than its BENCHMARK.json bound fails; the timing
+# metrics only warn, because the host's speed per CPU second drifts.
+gatedir="$(mktemp -d)"
+set --
+for wl in cpu-golden cpu-campaign accel-campaign served; do
+	sh perfbench/run.sh --workload "$wl" --seed 1 --seconds 1 --trace 0 >"$gatedir/$wl.out" || {
+		rm -rf "$gatedir"
+		echo "verify: heap gate: perfbench $wl failed" >&2
+		exit 1
+	}
+	set -- "$@" "$wl=$gatedir/$wl.out"
+done
+go run scripts/benchgate.go "$@" || {
+	rm -rf "$gatedir"
+	echo "verify: heap gate: heap_peak_mb regressed past its bound" >&2
+	exit 1
+}
+rm -rf "$gatedir"
+
 echo "== explain smoke test: narrate a known-SDC fault =="
 # riscv/crc32/prf seed 1 index 10 is the first SDC of that campaign on
 # the fast preset (indices 0-9 mask or crash; pinned by core.MaskSpace's
@@ -277,6 +308,7 @@ go test -run '^$' -fuzz '^FuzzISARoundTrip$' -fuzztime=30s ./internal/isa
 go test -run '^$' -fuzz '^FuzzDecodeWindow$' -fuzztime=30s ./internal/isa
 go test -run '^$' -fuzz '^FuzzEngineSchedule$' -fuzztime=30s ./internal/accel
 go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime=30s ./internal/config
+go test -run '^$' -fuzz '^FuzzMemoryPaging$' -fuzztime=30s ./internal/mem
 
 echo "== coverage gate: internal/server >= 80% =="
 cov="$(go test -cover ./internal/server | awk '{for (i=1;i<=NF;i++) if ($i ~ /^[0-9.]+%$/) print substr($i, 1, length($i)-1)}')"
