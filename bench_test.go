@@ -26,6 +26,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/figures"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
@@ -207,7 +208,7 @@ func BenchmarkAblation_EarlyTermination(b *testing.B) {
 					Preset:           config.TableII(),
 					Target:           "prf",
 					Model:            core.Transient,
-					Faults:           benchParams().Faults,
+					Sizing:           dispatch.Sizing{Faults: benchParams().Faults},
 					Seed:             5,
 					EarlyTermination: et,
 				})
@@ -341,8 +342,7 @@ func BenchmarkAccelCampaign(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := accel.RunCampaign(accel.CampaignConfig{
 				Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-				Model: core.Transient, Faults: 64, Seed: 13,
-				Workers: workers,
+				Model: core.Transient, Sizing: dispatch.Sizing{Faults: 64, Workers: workers}, Seed: 13,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -378,14 +378,12 @@ func BenchmarkCampaignLadder(b *testing.B) {
 		var replayed uint64
 		for i := 0; i < b.N; i++ {
 			res, err := campaign.Run(campaign.Config{
-				Image:       img,
-				Preset:      config.TableII(),
-				Target:      "prf",
-				Model:       core.Transient,
-				Faults:      24,
-				Seed:        77,
-				Workers:     4,
-				LadderRungs: rungs,
+				Image:  img,
+				Preset: config.TableII(),
+				Target: "prf",
+				Model:  core.Transient,
+				Sizing: dispatch.Sizing{Faults: 24, Workers: 4, LadderRungs: rungs},
+				Seed:   77,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -429,13 +427,12 @@ func BenchmarkCampaignAdaptive(b *testing.B) {
 	}
 	const margin = 0.05
 	base := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "l1d",
-		Model:   core.Transient,
-		Faults:  1, // probe run to learn the population size
-		Seed:    77,
-		Workers: 4,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "l1d",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 1, Workers: 4}, // probe run to learn the population size
+		Seed:   77,
 	}
 	probe, err := campaign.Run(base)
 	if err != nil {
@@ -498,7 +495,7 @@ func BenchmarkAblation_InjectionDomain(b *testing.B) {
 				Preset: config.TableII(),
 				Target: "l1d",
 				Model:  core.Transient,
-				Faults: benchParams().Faults * 2,
+				Sizing: dispatch.Sizing{Faults: benchParams().Faults * 2},
 				Seed:   3,
 				Domain: dom,
 			})
@@ -576,13 +573,12 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	base := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  8,
-		Seed:    7,
-		Workers: 1,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 8, Workers: 1},
+		Seed:   7,
 	}
 	g, err := campaign.PrepareGolden(base)
 	if err != nil {

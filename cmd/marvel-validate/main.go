@@ -15,6 +15,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/program"
 	"marvel/internal/workloads"
@@ -43,7 +44,7 @@ func main() {
 		Preset: pre,
 		Target: "l1d",
 		Model:  core.Transient,
-		Faults: *faults,
+		Sizing: dispatch.Sizing{Faults: *faults},
 		Seed:   1,
 	})
 	if err != nil {

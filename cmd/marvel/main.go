@@ -463,7 +463,7 @@ func cmdExplain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ex, err := marvel.Explain(marvel.ExplainOptions{
+	opts := marvel.ExplainOptions{
 		ISA:              *isaName,
 		Workload:         *wl,
 		Target:           *target,
@@ -478,7 +478,11 @@ func cmdExplain(args []string) error {
 		WatchdogFactor:   sz.watchdog,
 		PhysRegs:         sz.physRegs,
 		Preset:           sz.preset,
-	})
+	}
+	if err := opts.Validate(); err != nil {
+		return usageError{err}
+	}
+	ex, err := marvel.Explain(opts)
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/program"
 	"marvel/internal/workloads"
@@ -100,6 +101,9 @@ func TestValidationExitsTwo(t *testing.T) {
 		{"watch without job", []string{"watch"}, "needs -job"},
 		{"campaign removed legacyclone", []string{"campaign", "-legacyclone", "-faults", "2"}, "flag provided but not defined: -legacyclone"},
 		{"accel removed legacyrebuild", []string{"accel", "-legacyrebuild", "-faults", "2"}, "flag provided but not defined: -legacyrebuild"},
+		{"explain bad isa", []string{"explain", "-isa", "mips", "-workload", "sha", "-target", "prf"}, "unknown architecture"},
+		{"explain negative index", []string{"explain", "-isa", "riscv", "-workload", "sha", "-target", "prf", "-index", "-1"}, "index must be non-negative"},
+		{"explain bad component", []string{"explain", "-design", "gemm", "-component", "MATRIX9"}, "no component"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,7 +221,7 @@ func TestExplainMatchesCampaignRecord(t *testing.T) {
 		Image:  img,
 		Preset: config.Fast(),
 		Target: "prf",
-		Faults: indexV + 1,
+		Sizing: dispatch.Sizing{Faults: indexV + 1},
 		Seed:   seedV,
 		Domain: core.DomainValidOnly,
 		OnVerdict: func(i int, v classify.Verdict) {

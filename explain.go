@@ -1,18 +1,9 @@
 package marvel
 
 import (
-	"fmt"
-
-	"marvel/internal/accel"
-	"marvel/internal/campaign"
 	"marvel/internal/classify"
-	"marvel/internal/core"
-	"marvel/internal/isa"
-	"marvel/internal/machsuite"
 	"marvel/internal/obs"
-	"marvel/internal/program"
 	"marvel/internal/sweep"
-	"marvel/internal/workloads"
 )
 
 // NewMetricsRegistry creates a campaign metrics registry to attach to
@@ -110,138 +101,71 @@ type Explanation struct {
 	Narrative []string
 }
 
-// Explain deterministically re-runs one campaign fault with tracing armed
-// and narrates its propagation. The verdict is bit-identical to what a
-// campaign with the same options would record at the same index — tracing
-// only observes. CPU explanations always run the commit-trace comparison
-// so the first architectural divergence is located even if the original
-// campaign was AVF-only.
-func Explain(o ExplainOptions) (*Explanation, error) {
-	cpuSide := o.Workload != "" || o.ISA != "" || o.Target != ""
-	accelSide := o.Design != "" || o.Component != ""
-	switch {
-	case cpuSide && accelSide:
-		return nil, fmt.Errorf("marvel: explain: give CPU coordinates or accelerator coordinates, not both")
-	case cpuSide:
-		return explainCPU(o)
-	case accelSide:
-		return explainAccel(o)
-	}
-	return nil, fmt.Errorf("marvel: explain: no fault coordinates (need ISA/workload/target or design/component)")
-}
-
-func explainCPU(o ExplainOptions) (*Explanation, error) {
-	a, err := isa.ByName(o.ISA)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := workloads.ByName(o.Workload)
-	if err != nil {
-		return nil, err
-	}
-	model, err := core.ModelByName(string(o.Model))
-	if err != nil {
-		return nil, err
-	}
-	img, err := program.Compile(a, spec.Build())
-	if err != nil {
-		return nil, err
-	}
-	pre, err := sweep.PresetFor(o.Preset, o.PhysRegs)
-	if err != nil {
-		return nil, err
-	}
-	targets, err := sweep.SplitTarget(o.Target)
-	if err != nil {
-		return nil, err
-	}
-	cfg := campaign.Config{
-		Image:            img,
-		Preset:           pre,
-		Model:            model,
+// grid is the one-cell sweep grid whose fault Index Explain re-runs, as
+// CampaignOptions.Sweep is the grid a campaign runs. Faults = Index+1 is
+// the smallest campaign that records that index; the other sizing knobs
+// do not shape a single fault.
+func (o ExplainOptions) grid() SweepOptions {
+	spec := SweepOptions{
+		Models:           []string{string(o.Model)},
+		Faults:           o.Index + 1,
 		Seed:             o.Seed,
 		BitsPerFault:     o.BitsPerFault,
+		ValidOnly:        o.ValidOnly,
 		EarlyTermination: o.EarlyTermination,
 		WatchdogFactor:   o.WatchdogFactor,
+		PhysRegs:         o.PhysRegs,
+		Preset:           o.Preset,
 	}
-	if o.ValidOnly {
-		cfg.Domain = core.DomainValidOnly
+	if o.ISA != "" || o.Workload != "" || o.Target != "" {
+		spec.ISAs, spec.Workloads, spec.Targets = []string{o.ISA}, []string{o.Workload}, []string{o.Target}
 	}
-	if len(targets) > 1 {
-		cfg.MultiTargets = targets
+	if o.Design != "" || o.Component != "" {
+		spec.Designs, spec.Components = []string{o.Design}, []string{o.Component}
+	}
+	return spec
+}
+
+// Validate resolves every name and the index without running anything,
+// so the CLI fails fast with a usage error.
+func (o ExplainOptions) Validate() error { return o.grid().ValidateExplain(o.Index) }
+
+// Explain deterministically re-runs one campaign fault with tracing armed
+// and narrates its propagation. It explains fault Index of the one-cell
+// grid the options translate to, through the cell translation a campaign
+// of that grid runs, so the verdict is bit-identical to the campaign's
+// record at the same index — tracing only observes. CPU explanations
+// always run the commit-trace comparison so the first architectural
+// divergence is located even if the original campaign was AVF-only.
+func Explain(o ExplainOptions) (*Explanation, error) {
+	ex, err := sweep.Explain(o.grid(), o.Index)
+	if err != nil {
+		return nil, err
+	}
+	out := &Explanation{Kind: ex.Cell.Kind, Index: o.Index, Seed: o.Seed}
+	var v classify.Verdict
+	var events []obs.Event
+	if c := ex.CPU; c != nil {
+		v, events, out.EventsDropped = c.Verdict, c.Events, c.EventsDropped
+		out.GoldenCycles = c.Golden.Cycles
+		for _, f := range c.Mask.Faults {
+			out.Faults = append(out.Faults, ExplainedFault{Target: f.Target, Bit: f.Bit, Cycle: f.Cycle, Model: FaultModel(f.Model.String())})
+		}
 	} else {
-		cfg.Target = targets[0]
+		a := ex.Accel
+		v, events, out.EventsDropped = a.Verdict, a.Events, a.EventsDropped
+		// The accelerator has no commit stream to diverge from.
+		v.DivergeCommit = -1
+		out.GoldenCycles = a.GoldenCycles
+		out.Faults = []ExplainedFault{{Target: a.Fault.Target, Bit: a.Fault.Bit, Cycle: a.Fault.Cycle, Model: FaultModel(a.Fault.Model.String())}}
 	}
-	ex, err := campaign.Explain(cfg, o.Index)
-	if err != nil {
-		return nil, err
-	}
-	out := &Explanation{
-		Kind:          sweep.KindCPU,
-		Index:         o.Index,
-		Seed:          o.Seed,
-		Verdict:       ex.Verdict.Outcome.String(),
-		Reason:        maskReason(ex.Verdict),
-		CrashCode:     ex.Verdict.CrashCode,
-		Cycles:        ex.Verdict.Cycles,
-		GoldenCycles:  ex.Golden.Cycles,
-		EarlyStop:     ex.Verdict.EarlyStop,
-		HVFCorrupt:    ex.Verdict.HVFCorrupt,
-		DivergeCommit: ex.Verdict.DivergeCommit,
-	}
-	for _, f := range ex.Mask.Faults {
-		out.Faults = append(out.Faults, ExplainedFault{Target: f.Target, Bit: f.Bit, Cycle: f.Cycle, Model: FaultModel(f.Model.String())})
-	}
-	fillEvents(out, ex.Events, 0)
-	return out, nil
-}
-
-func explainAccel(o ExplainOptions) (*Explanation, error) {
-	spec, err := machsuite.ByName(o.Design)
-	if err != nil {
-		return nil, err
-	}
-	model, err := core.ModelByName(string(o.Model))
-	if err != nil {
-		return nil, err
-	}
-	cfg := accel.CampaignConfig{
-		Design:         spec.Design,
-		Task:           spec.Task,
-		Target:         o.Component,
-		Model:          model,
-		Seed:           o.Seed,
-		WatchdogFactor: o.WatchdogFactor,
-	}
-	ex, err := accel.Explain(cfg, o.Index)
-	if err != nil {
-		return nil, err
-	}
-	out := &Explanation{
-		Kind:          sweep.KindAccel,
-		Index:         o.Index,
-		Seed:          o.Seed,
-		Verdict:       ex.Verdict.Outcome.String(),
-		Reason:        maskReason(ex.Verdict),
-		CrashCode:     ex.Verdict.CrashCode,
-		Cycles:        ex.Verdict.Cycles,
-		GoldenCycles:  ex.GoldenCycles,
-		EarlyStop:     ex.Verdict.EarlyStop,
-		DivergeCommit: -1,
-		Faults: []ExplainedFault{{
-			Target: ex.Fault.Target, Bit: ex.Fault.Bit, Cycle: ex.Fault.Cycle,
-			Model: FaultModel(ex.Fault.Model.String()),
-		}},
-	}
-	fillEvents(out, ex.Events, 0)
-	return out, nil
-}
-
-// fillEvents converts and narrates the retained event stream. dropped is
-// added to the sink's own eviction count (currently always 0 — the
-// Explanation carries it so sinks with other policies can report theirs).
-func fillEvents(out *Explanation, events []obs.Event, dropped int) {
-	out.EventsDropped = dropped
+	out.Verdict = v.Outcome.String()
+	out.Reason = maskReason(v)
+	out.CrashCode = v.CrashCode
+	out.Cycles = v.Cycles
+	out.EarlyStop = v.EarlyStop
+	out.HVFCorrupt = v.HVFCorrupt
+	out.DivergeCommit = v.DivergeCommit
 	for _, e := range events {
 		out.Events = append(out.Events, TraceEvent{
 			Cycle: e.Cycle, Kind: e.Kind.String(), Target: e.Target,
@@ -249,6 +173,7 @@ func fillEvents(out *Explanation, events []obs.Event, dropped int) {
 		})
 	}
 	out.Narrative = obs.Narrative(events)
+	return out, nil
 }
 
 // maskReason spells out the masking mechanism, empty for non-masked

@@ -78,6 +78,27 @@ func TestFacadeExplainAccel(t *testing.T) {
 	}
 }
 
+// TestFacadeExplainReportsEvictedEvents pins the bounded trace sink's
+// eviction count on the explanation: x86/qsort/prf seed 1 fault 1 emits
+// more events than the 512-event sink keeps.
+func TestFacadeExplainReportsEvictedEvents(t *testing.T) {
+	ex, err := marvel.Explain(marvel.ExplainOptions{
+		ISA:      "x86",
+		Workload: "qsort",
+		Target:   "prf",
+		Model:    marvel.Transient,
+		Seed:     1,
+		Index:    1,
+		Preset:   "fast",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Events) != 512 || ex.EventsDropped <= 0 {
+		t.Fatalf("%d events retained, %d dropped; want 512 retained and a positive drop count", len(ex.Events), ex.EventsDropped)
+	}
+}
+
 func TestFacadeExplainRejectsMixedCoordinates(t *testing.T) {
 	if _, err := marvel.Explain(marvel.ExplainOptions{Workload: "sha", Design: "gemm"}); err == nil {
 		t.Fatal("mixed CPU+accel coordinates accepted")

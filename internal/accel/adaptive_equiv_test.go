@@ -13,6 +13,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 	"marvel/internal/metrics"
 	"marvel/internal/sweep"
@@ -53,7 +54,7 @@ func TestAccelAdaptiveEquivalenceAllDesigns(t *testing.T) {
 				t.Parallel()
 				cfg := accel.CampaignConfig{
 					Design: spec.Design, Task: spec.Task, Target: comp.Name,
-					Model: model, Faults: 64, Seed: 77, Workers: 2,
+					Model: model, Sizing: dispatch.Sizing{Faults: 64, Workers: 2}, Seed: 77,
 				}
 				runAccelAdaptivePair(t, cfg, 0.15)
 			})
@@ -73,8 +74,7 @@ func TestAccelAdaptiveSerialAndParallel(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		results = append(results, mustRun(t, accel.CampaignConfig{
 			Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-			Model: core.Transient, Faults: 96, Seed: 43, Workers: workers,
-			TargetMargin: 0.12,
+			Model: core.Transient, Sizing: dispatch.Sizing{Faults: 96, Workers: workers, TargetMargin: 0.12}, Seed: 43,
 		}))
 	}
 	serial, parallel := results[0], results[1]
@@ -93,12 +93,11 @@ func TestAccelAdaptiveWithLadder(t *testing.T) {
 	}
 	fixed := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: spec.Targets[0].Name,
-		Model: core.Transient, Faults: 64, Seed: 47, Workers: 2,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 64, Workers: 2}, Seed: 47,
 	})
 	adaptive := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: spec.Targets[0].Name,
-		Model: core.Transient, Faults: 64, Seed: 47, Workers: 2,
-		TargetMargin: 0.15, LadderRungs: 4,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 64, Workers: 2, TargetMargin: 0.15, LadderRungs: 4}, Seed: 47,
 	})
 	n := len(adaptive.Records)
 	if got, want := sweep.DigestAccelRecords(adaptive.Records), sweep.DigestAccelRecords(fixed.Records[:n]); got != want {
@@ -113,7 +112,7 @@ func TestAccelAdaptiveStopsEarlyAndConverges(t *testing.T) {
 	}
 	_, adaptive := runAccelAdaptivePair(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 256, Seed: 77, Workers: 2,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 256, Workers: 2}, Seed: 77,
 	}, 0.15)
 	if adaptive.FaultsSaved == 0 {
 		t.Fatalf("margin 0.15 over 256 faults never stopped early (achieved %d)", len(adaptive.Records))
@@ -135,7 +134,7 @@ func TestAccelAdaptiveBookkeepingAndZ(t *testing.T) {
 	}
 	base := accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 16, Seed: 5, Workers: 2,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 16, Workers: 2}, Seed: 5,
 	}
 	fixed := mustRun(t, base)
 	if fixed.Requested != 16 || len(fixed.Records) != 16 || fixed.FaultsSaved != 0 {
@@ -172,8 +171,7 @@ func TestAccelAdaptiveMinMaxFaults(t *testing.T) {
 	// MaxFaults overrides Faults as the budget under an unreachable margin.
 	capped := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 8, Seed: 5, Workers: 2,
-		TargetMargin: 1e-9, MinFaults: 1, MaxFaults: 40,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 8, Workers: 2, TargetMargin: 1e-9, MinFaults: 1, MaxFaults: 40}, Seed: 5,
 	})
 	if capped.Requested != 40 || len(capped.Records) != 40 {
 		t.Errorf("unreachable margin: requested %d, achieved %d — want 40/40", capped.Requested, len(capped.Records))
@@ -181,8 +179,7 @@ func TestAccelAdaptiveMinMaxFaults(t *testing.T) {
 	// MinFaults holds the campaign past first convergence.
 	floored := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 128, Seed: 5, Workers: 2,
-		TargetMargin: 0.15, MinFaults: 128,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 128, Workers: 2, TargetMargin: 0.15, MinFaults: 128}, Seed: 5,
 	})
 	if got := len(floored.Records); got != 128 {
 		t.Errorf("MinFaults=128 achieved %d faults", got)
@@ -196,7 +193,7 @@ func TestAccelAdaptiveConfigValidation(t *testing.T) {
 	}
 	base := accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 4, Seed: 1,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 4}, Seed: 1,
 	}
 	cases := []struct {
 		name string

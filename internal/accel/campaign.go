@@ -19,22 +19,14 @@ type CampaignConfig struct {
 	Task   Task
 	Target string // bank name
 	Model  core.Model
-	Faults int
 	Seed   int64
-	// TargetMargin > 0 selects adaptive confidence-targeted sizing, exactly
-	// as in campaign.Config: faults are dispatched in batches from the
-	// prefix-stable per-index derivation, the Wilson half-width of the AVF
-	// estimate is recomputed after each completed batch, and the campaign
-	// stops once it drops to TargetMargin — leaving a record stream that is
-	// an exact prefix of the fixed-budget run's. 0 keeps the fixed budget.
-	TargetMargin float64
-	// Confidence is the normal quantile z for margins (adaptive stop and
-	// the reported Margin); <= 0 keeps the default 1.96 (95%).
-	Confidence float64
-	// MinFaults floors the adaptive sample; MaxFaults caps it (0 = Faults).
-	MinFaults int
-	MaxFaults int
-	// WatchdogFactor bounds faulty tasks at factor × golden cycles.
+	// Sizing is the sampling rule, as in campaign.Config. Ladder rungs
+	// stop strictly before an injection cycle (flips apply inside Tick),
+	// and permanent faults always fork from the pristine base, since
+	// stuck-at bits must corrupt DMA-in too.
+	dispatch.Sizing
+	// WatchdogFactor bounds faulty tasks at factor × golden cycles;
+	// values <= 1 keep the default of 4.
 	WatchdogFactor float64
 	// WindowOverride, when non-zero, draws injection cycles from
 	// [1, WindowOverride] instead of the task's own duration. Design-space
@@ -43,20 +35,6 @@ type CampaignConfig struct {
 	// requirement); faults landing after a faster design completes are
 	// architecturally masked.
 	WindowOverride uint64
-	// Workers bounds campaign parallelism; 0 = GOMAXPROCS. Results are
-	// bit-identical for every worker count: each mask's coordinates derive
-	// purely from (Seed, mask index), never from the execution schedule.
-	Workers int
-	// LadderRungs selects the checkpoint ladder: besides the pristine
-	// not-yet-started harness, the fault-free task is snapshotted mid-run
-	// at LadderRungs evenly spaced cycles inside the injection window, and
-	// every transient run forks from the latest rung strictly before its
-	// injection cycle, replaying only the residual prefix. 0 keeps the
-	// single pristine checkpoint. Verdicts are bit-identical for every
-	// value (flips apply inside Tick, so rungs stop strictly before the
-	// injection cycle); permanent faults always use the pristine base —
-	// stuck-at bits must corrupt DMA-in too.
-	LadderRungs int
 	// OnVerdict, when non-nil, observes every classified fault as it
 	// completes (sweep progress reporting). It may be called concurrently
 	// from several workers; the index is the fault index. It must not
@@ -65,7 +43,7 @@ type CampaignConfig struct {
 	// Trace, when non-nil, receives fault-lifecycle events from every
 	// faulty run. With Workers > 1 the sink must be safe for concurrent
 	// Emit calls and events from different runs interleave; single-run
-	// narration (Explain) uses Workers = 1. Tracing does not change
+	// narration (ExplainWithGolden) arms its own sink. Tracing does not change
 	// verdicts — emission sites only observe.
 	Trace obs.Tracer
 	// Profile, when non-nil, attributes wall-clock time to campaign
@@ -216,10 +194,10 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // ones g was prepared with; results are bit-identical to RunCampaign with
 // the same CampaignConfig.
 func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResult, error) {
-	if err := dispatch.ValidateSizing(cfg.Faults, cfg.LadderRungs, cfg.TargetMargin, cfg.Confidence, cfg.MinFaults, cfg.MaxFaults); err != nil {
+	if err := cfg.Sizing.Validate(); err != nil {
 		return nil, fmt.Errorf("accel: %w", err)
 	}
-	budget := dispatch.Budget(cfg.Faults, cfg.TargetMargin, cfg.MaxFaults)
+	budget := cfg.Budget()
 	in, err := g.injection(cfg)
 	if err != nil {
 		return nil, err
@@ -256,16 +234,12 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 	}
 
 	verdicts, sum, err := dispatch.Run(dispatch.Plan[*Standalone]{
-		N:            budget,
-		Bits:         in.bits,
-		Workers:      cfg.Workers,
-		TargetMargin: cfg.TargetMargin,
-		MinFaults:    cfg.MinFaults,
-		Z:            dispatch.Quantile(cfg.Confidence),
-		Rungs:        len(rungs) - 1,
-		Fork:         func(r int) *Standalone { return rungs[r].sys.Fork() },
-		RungOf:       rungOf,
-		Replay:       replay,
+		Sizing: cfg.Sizing,
+		Bits:   in.bits,
+		Rungs:  len(rungs) - 1,
+		Fork:   func(r int) *Standalone { return rungs[r].sys.Fork() },
+		RungOf: rungOf,
+		Replay: replay,
 		Run: func(s *Standalone, i int, lane *obs.Lane) (classify.Verdict, error) {
 			return runFaulty(s, in.bankIdx, faults[i], in.cycleBudget, g.Output, cfg.Trace, lane, int64(i)), nil
 		},
@@ -342,7 +316,7 @@ func runFaulty(s *Standalone, bankIdx int, f core.Fault, budget uint64, goldenOu
 	if f.Model.Permanent() {
 		// Stuck-at faults hold for the whole run: applied before Start so
 		// they corrupt DMA-in writes too.
-		s.Cluster.Banks()[bankIdx].Stick(f.Bit, stuckVal(f.Model))
+		s.Cluster.Banks()[bankIdx].Stick(f.Bit, f.Model.StuckBit())
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: obs.KindFaultArmed, Target: target, Bit: f.Bit, Detail: f.Model.String()})
 			tr.Emit(obs.Event{Kind: obs.KindStuckApplied, Target: target, Bit: f.Bit, Detail: "held for the whole task"})
@@ -398,11 +372,4 @@ func classifyFaulty(s *Standalone, budget uint64, goldenOut []byte) classify.Ver
 		return classify.Verdict{Outcome: classify.SDC, Cycles: s.Cluster.Cycle()}
 	}
 	return classify.Verdict{Outcome: classify.Masked, Cycles: s.Cluster.Cycle()}
-}
-
-func stuckVal(m core.Model) uint8 {
-	if m == core.StuckAt1 {
-		return 1
-	}
-	return 0
 }

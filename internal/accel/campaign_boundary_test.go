@@ -6,6 +6,7 @@ import (
 
 	"marvel/internal/classify"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/program/ir"
 )
 
@@ -117,7 +118,7 @@ func TestLateWindowFaultClassifiesMasked(t *testing.T) {
 	// every one of them must be Masked.
 	res, err := RunCampaign(CampaignConfig{
 		Design: d, Task: task, Target: "OUT",
-		Model: core.Transient, Faults: 60, Seed: 3,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 60}, Seed: 3,
 		WindowOverride: goldenCycles * 30,
 	})
 	if err != nil {
@@ -209,7 +210,7 @@ func TestAccelCampaignWorkerInvariance(t *testing.T) {
 	task := testTask()
 	ref, err := RunRebuildOracle(CampaignConfig{
 		Design: d, Task: task, Target: "IN",
-		Model: core.Transient, Faults: 40, Seed: 12,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 40}, Seed: 12,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +221,7 @@ func TestAccelCampaignWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		got, err := RunCampaign(CampaignConfig{
 			Design: d, Task: task, Target: "IN",
-			Model: core.Transient, Faults: 40, Seed: 12,
-			Workers: workers,
+			Model: core.Transient, Sizing: dispatch.Sizing{Faults: 40, Workers: workers}, Seed: 12,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -252,13 +252,13 @@ func TestAccelCampaignRejectsBadConfig(t *testing.T) {
 	d := testDesign(t, DefaultFUs())
 	if _, err := RunCampaign(CampaignConfig{
 		Design: d, Task: testTask(), Target: "NOPE",
-		Model: core.Transient, Faults: 4, Seed: 1,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 4}, Seed: 1,
 	}); err == nil {
 		t.Fatal("unknown component must abort the campaign")
 	}
 	if _, err := RunCampaign(CampaignConfig{
 		Design: d, Task: testTask(), Target: "IN",
-		Model: core.Transient, Faults: 0, Seed: 1,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 0}, Seed: 1,
 	}); err == nil {
 		t.Fatal("zero-fault campaign must be rejected")
 	}

@@ -12,6 +12,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 )
 
@@ -78,7 +79,7 @@ func TestAccelCampaignEquivalence(t *testing.T) {
 			for _, model := range []core.Model{core.Transient, core.StuckAt1} {
 				cfg := accel.CampaignConfig{
 					Design: spec.Design, Task: spec.Task, Target: comp.Name,
-					Model: model, Faults: faults, Seed: 77,
+					Model: model, Sizing: dispatch.Sizing{Faults: faults}, Seed: 77,
 				}
 				label := fmt.Sprintf("%s/%s/%s", spec.Name, comp.Name, model)
 				ref := mustRebuild(t, cfg)
@@ -104,7 +105,7 @@ func TestAccelCampaignEquivalenceStuckAt0(t *testing.T) {
 	}
 	cfg := accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.StuckAt0, Faults: 8, Seed: 5,
+		Model: core.StuckAt0, Sizing: dispatch.Sizing{Faults: 8}, Seed: 5,
 	}
 	ref := mustRebuild(t, cfg)
 	for _, v := range variants {
@@ -124,13 +125,13 @@ func TestAccelCampaignWindowOverrideEquivalence(t *testing.T) {
 	}
 	probe := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 1, Seed: 1, Workers: 1,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 1, Workers: 1}, Seed: 1,
 	})
 	golden := probe.GoldenCycles
 	for _, window := range []uint64{golden / 2, golden, golden * 4} {
 		cfg := accel.CampaignConfig{
 			Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-			Model: core.Transient, Faults: 8, Seed: 21,
+			Model: core.Transient, Sizing: dispatch.Sizing{Faults: 8}, Seed: 21,
 			WindowOverride: window,
 		}
 		ref := mustRebuild(t, cfg)
@@ -158,11 +159,11 @@ func TestAccelMaskPopulationWindowIndependentOfSchedule(t *testing.T) {
 	}
 	a := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
-		Model: core.Transient, Faults: 32, Seed: 9, Workers: 7,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 32, Workers: 7}, Seed: 9,
 	})
 	b := mustRebuild(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
-		Model: core.Transient, Faults: 32, Seed: 9,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 32}, Seed: 9,
 	})
 	for i := range a.Records {
 		if a.Records[i].Fault != b.Records[i].Fault {

@@ -19,28 +19,21 @@ type Explanation struct {
 	GoldenCycles uint64
 	TargetBits   uint64
 	Window       uint64
-	Events       []obs.Event
+	// Events is the retained event stream; EventsDropped counts the
+	// mid-stream events the bounded sink evicted.
+	Events        []obs.Event
+	EventsDropped int
 }
 
-// Explain deterministically re-runs campaign fault (cfg.Seed, index) with
-// tracing on. Accelerator masks derive purely from (seed, index) via
+// ExplainWithGolden deterministically re-runs campaign fault (cfg.Seed,
+// index) against a prepared golden reference, with tracing on.
+// Accelerator faults derive purely from (seed, index) via
 // core.DeriveFault, so the re-run reproduces the campaign verdict exactly;
-// tracing only observes. cfg.Trace, Workers, Faults and OnVerdict are
-// ignored.
-func Explain(cfg CampaignConfig, index int) (*Explanation, error) {
+// tracing only observes. cfg.Trace, Sizing and OnVerdict are ignored.
+func ExplainWithGolden(cfg CampaignConfig, g *CampaignGolden, index int) (*Explanation, error) {
 	if index < 0 {
 		return nil, fmt.Errorf("accel: explain: index must be non-negative, got %d", index)
 	}
-	g, err := PrepareGolden(cfg.Design, cfg.Task)
-	if err != nil {
-		return nil, err
-	}
-	return ExplainWithGolden(cfg, g, index)
-}
-
-// ExplainWithGolden is Explain against an already-prepared golden
-// reference.
-func ExplainWithGolden(cfg CampaignConfig, g *CampaignGolden, index int) (*Explanation, error) {
 	in, err := g.injection(cfg)
 	if err != nil {
 		return nil, err
@@ -49,12 +42,13 @@ func ExplainWithGolden(cfg CampaignConfig, g *CampaignGolden, index int) (*Expla
 	sink := obs.NewRingSink(512)
 	v := runFaulty(g.base.Fork(), in.bankIdx, f, in.cycleBudget, g.Output, sink, nil, 0)
 	return &Explanation{
-		Index:        index,
-		Fault:        f,
-		Verdict:      v,
-		GoldenCycles: g.Cycles,
-		TargetBits:   in.bits,
-		Window:       in.window,
-		Events:       sink.Events(),
+		Index:         index,
+		Fault:         f,
+		Verdict:       v,
+		GoldenCycles:  g.Cycles,
+		TargetBits:    in.bits,
+		Window:        in.window,
+		Events:        sink.Events(),
+		EventsDropped: sink.Dropped(),
 	}, nil
 }

@@ -24,7 +24,7 @@ func RunRebuildOracle(cfg CampaignConfig) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	z := dispatch.Quantile(cfg.Confidence)
+	z := cfg.Z()
 	res := &CampaignResult{
 		Target:       cfg.Target,
 		GoldenCycles: g.Cycles,

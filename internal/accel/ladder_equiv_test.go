@@ -12,6 +12,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 	"marvel/internal/sweep"
 )
@@ -42,7 +43,7 @@ func TestAccelLadderEquivalenceAllDesigns(t *testing.T) {
 			for _, model := range []core.Model{core.Transient, core.StuckAt1} {
 				cfg := accel.CampaignConfig{
 					Design: spec.Design, Task: spec.Task, Target: comp.Name,
-					Model: model, Faults: faults, Seed: 77, Workers: 2,
+					Model: model, Sizing: dispatch.Sizing{Faults: faults, Workers: 2}, Seed: 77,
 				}
 				label := fmt.Sprintf("%s/%s/%s", spec.Name, comp.Name, model)
 				flat, laddered := runLadderPair(t, label, cfg, 4)
@@ -65,7 +66,7 @@ func TestAccelLadderEquivalenceSerialAndParallel(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		cfg := accel.CampaignConfig{
 			Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-			Model: core.Transient, Faults: 24, Seed: 13, Workers: workers,
+			Model: core.Transient, Sizing: dispatch.Sizing{Faults: 24, Workers: workers}, Seed: 13,
 		}
 		label := fmt.Sprintf("gemm/%dw", workers)
 		flat, laddered := runLadderPair(t, label, cfg, 6)
@@ -84,13 +85,13 @@ func TestAccelLadderEquivalenceWindowOverride(t *testing.T) {
 	}
 	probe := mustRun(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 1, Seed: 1, Workers: 1,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 1, Workers: 1}, Seed: 1,
 	})
 	golden := probe.GoldenCycles
 	for _, window := range []uint64{golden / 2, golden, golden * 4} {
 		cfg := accel.CampaignConfig{
 			Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-			Model: core.Transient, Faults: 12, Seed: 21, Workers: 2,
+			Model: core.Transient, Sizing: dispatch.Sizing{Faults: 12, Workers: 2}, Seed: 21,
 			WindowOverride: window,
 		}
 		label := fmt.Sprintf("gemm/window=%d", window)
@@ -109,7 +110,7 @@ func TestAccelLadderForkStatsAccounting(t *testing.T) {
 	}
 	cfg := accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 32, Seed: 47, Workers: 2,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 32, Workers: 2}, Seed: 47,
 	}
 	flat, laddered := runLadderPair(t, "gemm/forkstats", cfg, 8)
 	f := laddered.Forking
@@ -135,7 +136,7 @@ func TestAccelLadderRejectsNegativeRungs(t *testing.T) {
 	}
 	_, err = accel.RunCampaign(accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-		Model: core.Transient, Faults: 1, Seed: 1, LadderRungs: -1,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 1, LadderRungs: -1}, Seed: 1,
 	})
 	if err == nil {
 		t.Fatal("negative LadderRungs accepted")

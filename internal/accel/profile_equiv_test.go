@@ -6,6 +6,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 	"marvel/internal/obs"
 	"marvel/internal/sweep"
@@ -27,8 +28,7 @@ func TestAccelProfilingDoesNotChangeVerdicts(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cfg := accel.CampaignConfig{
 					Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
-					Model: model, Faults: 24, Seed: 13,
-					Workers: workers, LadderRungs: rungs,
+					Model: model, Sizing: dispatch.Sizing{Faults: 24, Workers: workers, LadderRungs: rungs}, Seed: 13,
 				}
 				label := fmt.Sprintf("%s/rungs=%d/%dw", model, rungs, workers)
 				plain := mustRun(t, cfg)

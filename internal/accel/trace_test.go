@@ -9,6 +9,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 	"marvel/internal/obs"
 	"marvel/internal/sweep"
@@ -25,7 +26,7 @@ func gemmCampaignConfig(t testing.TB, faults int) accel.CampaignConfig {
 		Task:   spec.Task,
 		Target: "MATRIX1",
 		Model:  core.Transient,
-		Faults: faults,
+		Sizing: dispatch.Sizing{Faults: faults},
 		Seed:   5,
 	}
 }

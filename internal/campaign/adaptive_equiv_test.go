@@ -15,6 +15,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/metrics"
 	"marvel/internal/sweep"
 )
@@ -59,14 +60,13 @@ func TestAdaptiveEquivalenceAllTargets(t *testing.T) {
 		t.Run(target, func(t *testing.T) {
 			t.Parallel()
 			cfg := campaign.Config{
-				Image:   img,
-				Preset:  config.Fast(),
-				Target:  target,
-				Model:   core.Transient,
-				Faults:  64,
-				Seed:    23,
-				HVF:     true,
-				Workers: 2,
+				Image:  img,
+				Preset: config.Fast(),
+				Target: target,
+				Model:  core.Transient,
+				Sizing: dispatch.Sizing{Faults: 64, Workers: 2},
+				Seed:   23,
+				HVF:    true,
 			}
 			runAdaptivePair(t, cfg, 0.15)
 		})
@@ -80,13 +80,12 @@ func TestAdaptiveEquivalenceAllModels(t *testing.T) {
 		t.Run(m.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := campaign.Config{
-				Image:   img,
-				Preset:  config.Fast(),
-				Target:  "l1d",
-				Model:   m,
-				Faults:  64,
-				Seed:    31,
-				Workers: 2,
+				Image:  img,
+				Preset: config.Fast(),
+				Target: "l1d",
+				Model:  m,
+				Sizing: dispatch.Sizing{Faults: 64, Workers: 2},
+				Seed:   31,
 			}
 			runAdaptivePair(t, cfg, 0.15)
 		})
@@ -101,16 +100,14 @@ func TestAdaptiveEquivalenceSerialAndParallel(t *testing.T) {
 	var results []*campaign.Result
 	for _, workers := range []int{1, 8} {
 		cfg := campaign.Config{
-			Image:        img,
-			Preset:       config.Fast(),
-			Target:       "prf",
-			Model:        core.Transient,
-			Faults:       96,
-			Seed:         43,
-			HVF:          true,
-			Domain:       core.DomainValidOnly,
-			Workers:      workers,
-			TargetMargin: 0.12,
+			Image:  img,
+			Preset: config.Fast(),
+			Target: "prf",
+			Model:  core.Transient,
+			Sizing: dispatch.Sizing{Faults: 96, Workers: workers, TargetMargin: 0.12},
+			Seed:   43,
+			HVF:    true,
+			Domain: core.DomainValidOnly,
 		}
 		res, err := campaign.Run(cfg)
 		if err != nil {
@@ -133,13 +130,12 @@ func TestAdaptiveEquivalenceWithLadder(t *testing.T) {
 	// must still be a digest-identical prefix of the flat fixed run.
 	img := compileWorkload(t, "riscv", "crc32")
 	fixedCfg := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  64,
-		Seed:    23,
-		Workers: 2,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 64, Workers: 2},
+		Seed:   23,
 	}
 	fixed, err := campaign.Run(fixedCfg)
 	if err != nil {
@@ -163,13 +159,12 @@ func TestAdaptiveStopsEarlyAndConverges(t *testing.T) {
 	// achieved interval must honor it.
 	img := compileWorkload(t, "riscv", "crc32")
 	_, adaptive := runAdaptivePair(t, campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "l1d",
-		Model:   core.Transient,
-		Faults:  256,
-		Seed:    23,
-		Workers: 2,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "l1d",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 256, Workers: 2},
+		Seed:   23,
 	}, 0.15)
 	if adaptive.FaultsSaved == 0 {
 		t.Fatalf("margin 0.15 over 256 faults never stopped early (achieved %d)", len(adaptive.Records))
@@ -189,14 +184,12 @@ func TestAdaptiveMinFaultsFloor(t *testing.T) {
 	// converges.
 	img := compileWorkload(t, "riscv", "crc32")
 	cfg := campaign.Config{
-		Image:        img,
-		Preset:       config.Fast(),
-		Target:       "l1d",
-		Model:        core.Transient,
-		Faults:       128,
-		Seed:         23,
-		Workers:      2,
-		TargetMargin: 0.15,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "l1d",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 128, Workers: 2, TargetMargin: 0.15},
+		Seed:   23,
 	}
 	floorless, err := campaign.Run(cfg)
 	if err != nil {
@@ -223,16 +216,13 @@ func TestAdaptiveMinFaultsFloor(t *testing.T) {
 func TestAdaptiveMaxFaultsOverridesBudget(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	res, err := campaign.Run(campaign.Config{
-		Image:        img,
-		Preset:       config.Fast(),
-		Target:       "prf",
-		Model:        core.Transient,
-		Faults:       8,
-		Seed:         23,
-		Workers:      2,
-		TargetMargin: 1e-9, // unreachable: must run to the cap
-		MinFaults:    1,
-		MaxFaults:    40,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		// TargetMargin 1e-9 is unreachable: the campaign must run to the cap.
+		Sizing: dispatch.Sizing{Faults: 8, Workers: 2, TargetMargin: 1e-9, MinFaults: 1, MaxFaults: 40},
+		Seed:   23,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +240,12 @@ func TestFixedModeUnchangedByAdaptiveFields(t *testing.T) {
 	// full budget, one batch, nothing saved.
 	img := compileWorkload(t, "riscv", "crc32")
 	res, err := campaign.Run(campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  24,
-		Seed:    23,
-		Workers: 2,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 24, Workers: 2},
+		Seed:   23,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,13 +268,12 @@ func TestConfiguredConfidenceChangesMargin(t *testing.T) {
 	// configuration).
 	img := compileWorkload(t, "riscv", "crc32")
 	base := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  24,
-		Seed:    23,
-		Workers: 2,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 24, Workers: 2},
+		Seed:   23,
 	}
 	at95, err := campaign.Run(base)
 	if err != nil {
@@ -318,7 +306,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 4,
+		Sizing: dispatch.Sizing{Faults: 4},
 		Seed:   1,
 	}
 	cases := []struct {

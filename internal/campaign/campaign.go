@@ -63,34 +63,14 @@ type Config struct {
 	// (spatially distributed multi-fault injection). Target is ignored.
 	MultiTargets []string
 	Model        core.Model
-	Faults       int
 	// BitsPerFault > 1 selects multi-bit masks (spatial multi-fault mode).
 	BitsPerFault int
 	Seed         int64
 	Domain       core.Domain
+	// Sizing is the sampling rule: fault budget or adaptive margin,
+	// checkpoint ladder depth and worker count.
+	dispatch.Sizing
 
-	// TargetMargin > 0 selects adaptive confidence-targeted sizing: masks
-	// are dispatched in batches drawn from the same prefix-stable stream a
-	// fixed-budget campaign uses, the Wilson half-width of the AVF
-	// estimate is recomputed after every completed batch, and the campaign
-	// stops as soon as it drops to TargetMargin — the record stream is
-	// then an exact prefix of the fixed-budget run's (same masks, same
-	// verdicts, same digests). 0 keeps the fixed Faults budget.
-	TargetMargin float64
-	// Confidence is the normal quantile z the campaign's margins are
-	// computed at — both the adaptive stop decision and the reported
-	// Margin; <= 0 keeps the default 1.96 (95%).
-	Confidence float64
-	// MinFaults floors the adaptive sample: the stop condition is not
-	// evaluated before this many faults completed (tiny samples make the
-	// Wilson interval wide, so the floor mostly guards against a
-	// pathological TargetMargin near 1). 0 means no floor.
-	MinFaults int
-	// MaxFaults caps the adaptive sample; 0 means Faults is the cap.
-	// Ignored when TargetMargin is 0.
-	MaxFaults int
-
-	Workers int
 	// HVF enables commit-trace comparison alongside AVF classification
 	// (same masks, same runs — the paper's combined mode).
 	HVF bool
@@ -98,21 +78,8 @@ type Config struct {
 	// overwritten-before-read optimizations of §IV-B.
 	EarlyTermination bool
 	// WatchdogFactor bounds faulty runs at factor × golden cycles;
-	// expiry classifies as Crash. Default 3.
+	// expiry classifies as Crash. Values <= 1 keep the default of 3.
 	WatchdogFactor float64
-	// LadderRungs selects the checkpoint ladder: besides the window-start
-	// checkpoint, the golden system is snapshotted at LadderRungs evenly
-	// spaced cycles inside the injection window, masks are dispatched in
-	// rung order, and every faulty run forks from the latest rung at or
-	// before its first transient's injection cycle — replaying only the
-	// residual pre-injection cycles instead of the whole window prefix.
-	// 0 keeps today's single window-start checkpoint. Verdicts (and their
-	// digests) are bit-identical for every value: the golden prefix is
-	// deterministic, so a rung restore reproduces exactly the state a
-	// window-start fork reaches by simulation. Masks carrying a permanent
-	// fault always fork from the window start, where stuck-at bits must be
-	// applied.
-	LadderRungs int
 	// OnVerdict, when non-nil, observes every classified fault as it
 	// completes (sweep progress reporting). It may be called concurrently
 	// from several workers and must be safe for that; the index is the
@@ -122,7 +89,7 @@ type Config struct {
 	// Trace, when non-nil, receives fault-lifecycle events from every
 	// faulty run. With Workers > 1 the sink must be safe for concurrent
 	// Emit calls and events from different runs interleave; single-run
-	// narration (Explain) uses Workers = 1. Tracing never changes
+	// narration (ExplainWithGolden) arms its own sink. Tracing never changes
 	// verdicts: emission sites only observe (watches are pure observers
 	// and the early-stop predicate keeps its polling cadence).
 	Trace obs.Tracer
@@ -304,24 +271,18 @@ func Run(cfg Config) (*Result, error) {
 // cache). cfg.Image and cfg.Preset must match the ones g was prepared
 // with; results are bit-identical to Run with the same Config.
 func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
-	if err := dispatch.ValidateSizing(cfg.Faults, cfg.LadderRungs, cfg.TargetMargin, cfg.Confidence, cfg.MinFaults, cfg.MaxFaults); err != nil {
+	if err := cfg.Sizing.Validate(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("campaign: no workload image")
 	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 3
-	}
-	budget := dispatch.Budget(cfg.Faults, cfg.TargetMargin, cfg.MaxFaults)
 	golden, base := &g.Info, g.base
 
 	// Generate the whole budget up front: mask i depends only on (Seed, i,
 	// target geometry), so the population is identical whether or not the
 	// campaign later stops early.
-	maskCfg := cfg
-	maskCfg.Faults = budget
-	masks, bits, err := buildMasks(maskCfg, base, golden)
+	masks, bits, err := buildMasks(cfg, base, golden)
 	if err != nil {
 		return nil, err
 	}
@@ -359,16 +320,12 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	armCycle := rungs[0].cycle
 
 	verdicts, sum, err := dispatch.Run(dispatch.Plan[*soc.System]{
-		N:            len(masks),
-		Bits:         bits,
-		Workers:      cfg.Workers,
-		TargetMargin: cfg.TargetMargin,
-		MinFaults:    cfg.MinFaults,
-		Z:            dispatch.Quantile(cfg.Confidence),
-		Rungs:        len(rungs) - 1,
-		Fork:         func(r int) *soc.System { return rungs[r].sys.Fork() },
-		RungOf:       rungOf,
-		Replay:       replay,
+		Sizing: cfg.Sizing,
+		Bits:   bits,
+		Rungs:  len(rungs) - 1,
+		Fork:   func(r int) *soc.System { return rungs[r].sys.Fork() },
+		RungOf: rungOf,
+		Replay: replay,
 		Run: func(s *soc.System, i int, lane *obs.Lane) (classify.Verdict, error) {
 			r := rungOf[i]
 			return runOne(cfg, s, golden, subTraces[r], rungs[r].commits-g.commitsAtCkpt, armCycle, masks[i], lane)
@@ -466,7 +423,7 @@ func maskSpace(cfg Config, base *soc.System, golden *GoldenInfo) (core.MaskSpace
 	return sp, total, sp.Validate()
 }
 
-// buildMasks derives the campaign's cfg.Faults masks. Mask i is a pure
+// buildMasks derives the campaign's whole budget of masks. Mask i is a pure
 // function of (Seed, i, space) — core.MaskSpace.Mask — so the population
 // is prefix-stable in the fault count and Explain derives any one mask in
 // isolation.
@@ -475,7 +432,7 @@ func buildMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, 
 	if err != nil {
 		return nil, 0, err
 	}
-	masks := make([]core.Mask, cfg.Faults)
+	masks := make([]core.Mask, cfg.Budget())
 	for i := range masks {
 		masks[i] = sp.Mask(cfg.Seed, i)
 	}
@@ -548,7 +505,11 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 		}
 	}
 
-	budget := uint64(float64(golden.Cycles)*cfg.WatchdogFactor) + 20_000
+	factor := cfg.WatchdogFactor
+	if factor <= 1 {
+		factor = 3
+	}
+	budget := uint64(float64(golden.Cycles)*factor) + 20_000
 
 	if tr != nil {
 		// Arming is narrated at the window-start checkpoint cycle — the
@@ -572,7 +533,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 			if err != nil {
 				return classify.Verdict{}, err
 			}
-			ft.Stick(f.Bit, stuckVal(f.Model))
+			ft.Stick(f.Bit, f.Model.StuckBit())
 			if tr != nil {
 				tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindStuckApplied, Target: f.Target, Bit: f.Bit, Detail: "held for the whole run"})
 				s.CPU.Trace = tr
@@ -721,13 +682,6 @@ func verdictFromRun(goldenOutput []byte, goldenCycles uint64, res soc.RunResult)
 		r.CrashCode = res.Trap.Code.String()
 	}
 	return classify.FromRun(goldenOutput, goldenCycles, r)
-}
-
-func stuckVal(m core.Model) uint8 {
-	if m == core.StuckAt1 {
-		return 1
-	}
-	return 0
 }
 
 // resampleLive redraws the bit coordinate until it lands in a live entry

@@ -7,6 +7,7 @@ import (
 	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/program"
 	"marvel/internal/workloads"
@@ -45,7 +46,7 @@ func TestListing1ValidationAVFIs100Percent(t *testing.T) {
 		Preset: pre,
 		Target: "l1d",
 		Model:  core.Transient,
-		Faults: 80,
+		Sizing: dispatch.Sizing{Faults: 80},
 		Seed:   1,
 	})
 	if err != nil {
@@ -63,7 +64,7 @@ func TestCampaignDeterminism(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 40,
+		Sizing: dispatch.Sizing{Faults: 40},
 		Seed:   7,
 		HVF:    true,
 	}
@@ -93,7 +94,7 @@ func TestCampaignPRFTransient(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 60,
+		Sizing: dispatch.Sizing{Faults: 60},
 		Seed:   3,
 		HVF:    true,
 	})
@@ -122,7 +123,7 @@ func TestCampaignL1IFaultsCauseCrashes(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "l1i",
 		Model:  core.Transient,
-		Faults: 60,
+		Sizing: dispatch.Sizing{Faults: 60},
 		Seed:   11,
 		Domain: core.DomainValidOnly,
 	})
@@ -142,7 +143,7 @@ func TestCampaignPermanentFaults(t *testing.T) {
 			Preset: config.Fast(),
 			Target: "l1d",
 			Model:  m,
-			Faults: 40,
+			Sizing: dispatch.Sizing{Faults: 40},
 			Seed:   5,
 		})
 		if err != nil {
@@ -164,7 +165,7 @@ func TestEarlyTerminationSoundness(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 50,
+		Sizing: dispatch.Sizing{Faults: 50},
 		Seed:   13,
 	}
 	slow, err := campaign.Run(base)
@@ -197,7 +198,7 @@ func TestMultiBitMasks(t *testing.T) {
 		Preset:       config.Fast(),
 		Target:       "l1d",
 		Model:        core.Transient,
-		Faults:       30,
+		Sizing:       dispatch.Sizing{Faults: 30},
 		BitsPerFault: 3,
 		Seed:         17,
 	})
@@ -236,7 +237,7 @@ func TestROBAndIQTargets(t *testing.T) {
 			Preset: config.Fast(),
 			Target: target,
 			Model:  core.Transient,
-			Faults: 40,
+			Sizing: dispatch.Sizing{Faults: 40},
 			Seed:   19,
 			Domain: core.DomainValidOnly,
 		})
@@ -262,7 +263,7 @@ func TestMultiStructureMasks(t *testing.T) {
 		Preset:       config.Fast(),
 		MultiTargets: []string{"prf", "l1d", "sq"},
 		Model:        core.Transient,
-		Faults:       25,
+		Sizing:       dispatch.Sizing{Faults: 25},
 		Seed:         31,
 	})
 	if err != nil {
@@ -301,7 +302,7 @@ func TestMultiTargetMultiBitMasks(t *testing.T) {
 		Preset:       config.Fast(),
 		MultiTargets: targets,
 		Model:        core.Transient,
-		Faults:       12,
+		Sizing:       dispatch.Sizing{Faults: 12},
 		BitsPerFault: 3,
 		Seed:         23,
 	})

@@ -6,6 +6,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 )
 
 // TestCPUMasksAreDeriveFault pins the one-derivation contract on the CPU
@@ -14,7 +15,7 @@ import (
 // before any live-entry resampling.
 func TestCPUMasksAreDeriveFault(t *testing.T) {
 	img := compileWorkload(t, "riscv", "bitcount")
-	base := campaign.Config{Image: img, Preset: config.Fast(), Faults: 48, Seed: 11, Domain: core.DomainValidOnly}
+	base := campaign.Config{Image: img, Preset: config.Fast(), Sizing: dispatch.Sizing{Faults: 48}, Seed: 11, Domain: core.DomainValidOnly}
 	g, err := campaign.PrepareGolden(base)
 	if err != nil {
 		t.Fatal(err)

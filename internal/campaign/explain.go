@@ -19,31 +19,22 @@ type Explanation struct {
 	Verdict    classify.Verdict
 	Golden     GoldenInfo
 	TargetBits uint64
-	Events     []obs.Event
+	// Events is the retained event stream; EventsDropped counts the
+	// mid-stream events the bounded sink evicted.
+	Events        []obs.Event
+	EventsDropped int
 }
 
-// Explain deterministically re-runs campaign fault (cfg.Seed, index) with
-// tracing on and HVF divergence analysis enabled. Mask index is derived
-// alone (see buildMasks), so the mask — and therefore the verdict — is
-// exactly what a campaign over any Faults > index records at that index.
-// cfg.Trace, Workers, Faults and OnVerdict are ignored; tracing only
-// observes, it never changes the verdict.
-func Explain(cfg Config, index int) (*Explanation, error) {
-	g, err := PrepareGolden(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ExplainWithGolden(cfg, g, index)
-}
-
-// ExplainWithGolden is Explain against an already-prepared golden
-// reference.
+// ExplainWithGolden deterministically re-runs campaign fault (cfg.Seed,
+// index) against a prepared golden reference, with tracing on and HVF
+// divergence analysis enabled. Mask index is derived alone (see
+// buildMasks), so the mask — and therefore the verdict — is exactly what a
+// campaign over any budget > index records at that index. cfg.Trace,
+// Sizing and OnVerdict are ignored; tracing only observes, it never
+// changes the verdict.
 func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 	if index < 0 {
 		return nil, fmt.Errorf("campaign: explain: index must be non-negative, got %d", index)
-	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 3
 	}
 	// Re-derive exactly the campaign's mask at this index: it is a pure
 	// function of (Seed, index, space), so no other mask is built.
@@ -70,11 +61,12 @@ func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 		return nil, err
 	}
 	return &Explanation{
-		Index:      index,
-		Mask:       mask,
-		Verdict:    v,
-		Golden:     g.Info,
-		TargetBits: bits,
-		Events:     sink.Events(),
+		Index:         index,
+		Mask:          mask,
+		Verdict:       v,
+		Golden:        g.Info,
+		TargetBits:    bits,
+		Events:        sink.Events(),
+		EventsDropped: sink.Dropped(),
 	}, nil
 }

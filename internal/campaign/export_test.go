@@ -16,9 +16,6 @@ func RunCloneOracle(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 3
-	}
 	masks, bits, err := buildMasks(cfg, g.base, &g.Info)
 	if err != nil {
 		return nil, err
@@ -27,7 +24,7 @@ func RunCloneOracle(cfg Config) (*Result, error) {
 	if cfg.HVF {
 		goldenTrace = g.trace.Slice(g.commitsAtCkpt)
 	}
-	z := dispatch.Quantile(cfg.Confidence)
+	z := cfg.Z()
 	res := &Result{
 		Model:      cfg.Model,
 		Golden:     g.Info,
@@ -55,7 +52,7 @@ func RunCloneOracle(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// BuildMasks derives the cfg.Faults masks a campaign over g injects.
+// BuildMasks derives the cfg.Budget() masks a campaign over g injects.
 func BuildMasks(cfg Config, g *Golden) ([]core.Mask, uint64, error) {
 	return buildMasks(cfg, g.base, &g.Info)
 }

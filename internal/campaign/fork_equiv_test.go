@@ -15,6 +15,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 )
 
 // diffResults asserts two campaign results are byte-identical in every
@@ -70,14 +71,13 @@ func TestForkCloneEquivalenceAllTargets(t *testing.T) {
 		t.Run(target, func(t *testing.T) {
 			t.Parallel()
 			cfg := campaign.Config{
-				Image:   img,
-				Preset:  config.Fast(),
-				Target:  target,
-				Model:   core.Transient,
-				Faults:  16,
-				Seed:    23,
-				HVF:     true,
-				Workers: 2,
+				Image:  img,
+				Preset: config.Fast(),
+				Target: target,
+				Model:  core.Transient,
+				Sizing: dispatch.Sizing{Faults: 16, Workers: 2},
+				Seed:   23,
+				HVF:    true,
 			}
 			clone, fork := runBoth(t, cfg)
 			diffResults(t, target, clone, fork)
@@ -93,15 +93,14 @@ func TestForkCloneEquivalenceValidOnlyDomain(t *testing.T) {
 	// must derive identically under both strategies.
 	img := compileWorkload(t, "arm", "bitcount")
 	cfg := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "l1d",
-		Model:   core.Transient,
-		Faults:  20,
-		Seed:    29,
-		Domain:  core.DomainValidOnly,
-		HVF:     true,
-		Workers: 3,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "l1d",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 20, Workers: 3},
+		Seed:   29,
+		Domain: core.DomainValidOnly,
+		HVF:    true,
 	}
 	clone, fork := runBoth(t, cfg)
 	diffResults(t, "l1d/valid-only", clone, fork)
@@ -113,13 +112,12 @@ func TestForkCloneEquivalencePermanentFaults(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	for _, m := range []core.Model{core.StuckAt0, core.StuckAt1} {
 		cfg := campaign.Config{
-			Image:   img,
-			Preset:  config.Fast(),
-			Target:  "l1d",
-			Model:   m,
-			Faults:  14,
-			Seed:    31,
-			Workers: 2,
+			Image:  img,
+			Preset: config.Fast(),
+			Target: "l1d",
+			Model:  m,
+			Sizing: dispatch.Sizing{Faults: 14, Workers: 2},
+			Seed:   31,
 		}
 		clone, fork := runBoth(t, cfg)
 		diffResults(t, m.String(), clone, fork)
@@ -135,10 +133,9 @@ func TestForkCloneEquivalenceEarlyTermination(t *testing.T) {
 		Preset:           config.Fast(),
 		Target:           "prf",
 		Model:            core.Transient,
-		Faults:           24,
+		Sizing:           dispatch.Sizing{Faults: 24, Workers: 2},
 		Seed:             37,
 		EarlyTermination: true,
-		Workers:          2,
 	}
 	clone, fork := runBoth(t, cfg)
 	diffResults(t, "prf/earlyterm", clone, fork)
@@ -153,9 +150,8 @@ func TestForkCloneEquivalenceMultiStructure(t *testing.T) {
 		Preset:       config.Fast(),
 		MultiTargets: []string{"prf", "l1d", "sq"},
 		Model:        core.Transient,
-		Faults:       12,
+		Sizing:       dispatch.Sizing{Faults: 12, Workers: 2},
 		Seed:         41,
-		Workers:      2,
 	}
 	clone, fork := runBoth(t, cfg)
 	diffResults(t, "multi-structure", clone, fork)
@@ -171,7 +167,7 @@ func TestCampaignWorkerCountInvariance(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 24,
+		Sizing: dispatch.Sizing{Faults: 24},
 		Seed:   43,
 		HVF:    true,
 		Domain: core.DomainValidOnly,
@@ -202,13 +198,12 @@ func TestCampaignWorkerCountInvariance(t *testing.T) {
 func TestForkStatsAccounting(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	res, err := campaign.Run(campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  10,
-		Seed:    47,
-		Workers: 2,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 10, Workers: 2},
+		Seed:   47,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 	"marvel/internal/sweep"
 )
@@ -48,14 +49,13 @@ func TestLadderEquivalenceAllTargets(t *testing.T) {
 		t.Run(target, func(t *testing.T) {
 			t.Parallel()
 			cfg := campaign.Config{
-				Image:   img,
-				Preset:  config.Fast(),
-				Target:  target,
-				Model:   core.Transient,
-				Faults:  16,
-				Seed:    23,
-				HVF:     true,
-				Workers: 2,
+				Image:  img,
+				Preset: config.Fast(),
+				Target: target,
+				Model:  core.Transient,
+				Sizing: dispatch.Sizing{Faults: 16, Workers: 2},
+				Seed:   23,
+				HVF:    true,
 			}
 			flat, laddered := runLadderPair(t, cfg, 6)
 			diffResults(t, target, flat, laddered)
@@ -69,15 +69,14 @@ func TestLadderEquivalenceSerialAndParallel(t *testing.T) {
 	img := compileWorkload(t, "riscv", "sha")
 	for _, workers := range []int{1, 8} {
 		cfg := campaign.Config{
-			Image:   img,
-			Preset:  config.Fast(),
-			Target:  "prf",
-			Model:   core.Transient,
-			Faults:  24,
-			Seed:    43,
-			HVF:     true,
-			Domain:  core.DomainValidOnly,
-			Workers: workers,
+			Image:  img,
+			Preset: config.Fast(),
+			Target: "prf",
+			Model:  core.Transient,
+			Sizing: dispatch.Sizing{Faults: 24, Workers: workers},
+			Seed:   43,
+			HVF:    true,
+			Domain: core.DomainValidOnly,
 		}
 		flat, laddered := runLadderPair(t, cfg, 8)
 		if workers == 1 {
@@ -96,13 +95,12 @@ func TestLadderEquivalencePermanentFaults(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	for _, m := range []core.Model{core.StuckAt0, core.StuckAt1} {
 		cfg := campaign.Config{
-			Image:   img,
-			Preset:  config.Fast(),
-			Target:  "l1d",
-			Model:   m,
-			Faults:  14,
-			Seed:    31,
-			Workers: 2,
+			Image:  img,
+			Preset: config.Fast(),
+			Target: "l1d",
+			Model:  m,
+			Sizing: dispatch.Sizing{Faults: 14, Workers: 2},
+			Seed:   31,
 		}
 		flat, laddered := runLadderPair(t, cfg, 4)
 		diffResults(t, m.String(), flat, laddered)
@@ -122,9 +120,8 @@ func TestLadderEquivalenceMultiStructure(t *testing.T) {
 		Preset:       config.Fast(),
 		MultiTargets: []string{"prf", "l1d", "sq"},
 		Model:        core.Transient,
-		Faults:       12,
+		Sizing:       dispatch.Sizing{Faults: 12, Workers: 2},
 		Seed:         41,
-		Workers:      2,
 		HVF:          true,
 	}
 	flat, laddered := runLadderPair(t, cfg, 6)
@@ -138,10 +135,9 @@ func TestLadderEquivalenceMultiBit(t *testing.T) {
 		Preset:       config.Fast(),
 		Target:       "prf",
 		Model:        core.Transient,
-		Faults:       12,
+		Sizing:       dispatch.Sizing{Faults: 12, Workers: 2},
 		BitsPerFault: 3,
 		Seed:         29,
-		Workers:      2,
 	}
 	flat, laddered := runLadderPair(t, cfg, 5)
 	diffResults(t, "multi-bit", flat, laddered)
@@ -154,10 +150,9 @@ func TestLadderEquivalenceEarlyTermination(t *testing.T) {
 		Preset:           config.Fast(),
 		Target:           "prf",
 		Model:            core.Transient,
-		Faults:           24,
+		Sizing:           dispatch.Sizing{Faults: 24, Workers: 2},
 		Seed:             37,
 		EarlyTermination: true,
-		Workers:          2,
 	}
 	flat, laddered := runLadderPair(t, cfg, 6)
 	diffResults(t, "earlyterm", flat, laddered)
@@ -168,15 +163,14 @@ func TestLadderEquivalenceUnderTracing(t *testing.T) {
 	// nor differ from the flat campaign's digest.
 	img := compileWorkload(t, "riscv", "crc32")
 	cfg := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  20,
-		Seed:    7,
-		HVF:     true,
-		Workers: 2,
-		Trace:   obs.NewJSONLSink(io.Discard),
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 20, Workers: 2},
+		Seed:   7,
+		HVF:    true,
+		Trace:  obs.NewJSONLSink(io.Discard),
 	}
 	runLadderPair(t, cfg, 6)
 }
@@ -191,14 +185,13 @@ func TestLadderEquivalenceUnderTracing(t *testing.T) {
 func TestLadderTracedNarrationIdentical(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	cfg := campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  12,
-		Seed:    17,
-		HVF:     true,
-		Workers: 1,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 12, Workers: 1},
+		Seed:   17,
+		HVF:    true,
 	}
 	capture := func(rungs int) [][]obs.Event {
 		sink := &sliceSink{}
@@ -268,14 +261,12 @@ func hasVerdict(events []obs.Event) bool {
 func TestLadderForkStatsAccounting(t *testing.T) {
 	img := compileWorkload(t, "riscv", "sha")
 	res, err := campaign.Run(campaign.Config{
-		Image:       img,
-		Preset:      config.Fast(),
-		Target:      "prf",
-		Model:       core.Transient,
-		Faults:      32,
-		Seed:        47,
-		Workers:     2,
-		LadderRungs: 8,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 32, Workers: 2, LadderRungs: 8},
+		Seed:   47,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +282,12 @@ func TestLadderForkStatsAccounting(t *testing.T) {
 		t.Errorf("forks(%d) + reuses(%d) != faults(32)", f.Forks, f.ReuseHits)
 	}
 	flat, err := campaign.Run(campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  32,
-		Seed:    47,
-		Workers: 2,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 32, Workers: 2},
+		Seed:   47,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,13 +301,12 @@ func TestLadderForkStatsAccounting(t *testing.T) {
 func TestLadderRejectsNegativeRungs(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	_, err := campaign.Run(campaign.Config{
-		Image:       img,
-		Preset:      config.Fast(),
-		Target:      "prf",
-		Model:       core.Transient,
-		Faults:      1,
-		Seed:        1,
-		LadderRungs: -1,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 1, LadderRungs: -1},
+		Seed:   1,
 	})
 	if err == nil {
 		t.Fatal("negative LadderRungs accepted")

@@ -10,6 +10,7 @@ import (
 
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/obs"
 	"marvel/internal/program"
@@ -35,7 +36,7 @@ func prepareTestGolden(t *testing.T) (*Golden, Config) {
 		Preset:         config.Fast(),
 		Target:         "prf",
 		Model:          core.Transient,
-		Faults:         1,
+		Sizing:         dispatch.Sizing{Faults: 1},
 		Seed:           1,
 		WatchdogFactor: 3,
 	}

@@ -7,6 +7,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 	"marvel/internal/sweep"
 )
@@ -23,7 +24,7 @@ func TestProfilingDoesNotChangeVerdicts(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 50,
+		Sizing: dispatch.Sizing{Faults: 50},
 		Seed:   7,
 	}
 	variants := []struct {
@@ -80,9 +81,8 @@ func TestProfiledAttributionCoversWallClock(t *testing.T) {
 		Preset:  config.Fast(),
 		Target:  "prf",
 		Model:   core.Transient,
-		Faults:  60,
+		Sizing:  dispatch.Sizing{Faults: 60, Workers: 1},
 		Seed:    5,
-		Workers: 1,
 		Profile: obs.NewProfiler(),
 	}
 	start := time.Now()

@@ -7,6 +7,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 	"marvel/internal/sweep"
 )
@@ -24,7 +25,7 @@ func TestTracingDoesNotChangeVerdicts(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 50,
+		Sizing: dispatch.Sizing{Faults: 50},
 		Seed:   7,
 	}
 	variants := []struct {
@@ -86,7 +87,7 @@ func TestExplainReproducesCampaignVerdict(t *testing.T) {
 		Preset: config.Fast(),
 		Target: "prf",
 		Model:  core.Transient,
-		Faults: 20,
+		Sizing: dispatch.Sizing{Faults: 20},
 		Seed:   3,
 		HVF:    true, // Explain always runs the HVF overlay; match it for full-verdict equality
 	}
@@ -151,13 +152,12 @@ func checkLifecycleOrder(t *testing.T, index int, events []obs.Event) {
 func TestForkStatsUnderParallelWorkers(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	res, err := campaign.Run(campaign.Config{
-		Image:   img,
-		Preset:  config.Fast(),
-		Target:  "prf",
-		Model:   core.Transient,
-		Faults:  40,
-		Seed:    11,
-		Workers: 8,
+		Image:  img,
+		Preset: config.Fast(),
+		Target: "prf",
+		Model:  core.Transient,
+		Sizing: dispatch.Sizing{Faults: 40, Workers: 8},
+		Seed:   11,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,6 +44,15 @@ func (m Model) String() string {
 // Permanent reports whether the model is a stuck-at fault.
 func (m Model) Permanent() bool { return m == StuckAt0 || m == StuckAt1 }
 
+// StuckBit is the value a permanent model holds its bit at: 1 for
+// StuckAt1, 0 otherwise.
+func (m Model) StuckBit() uint8 {
+	if m == StuckAt1 {
+		return 1
+	}
+	return 0
+}
+
 // ModelByName resolves a fault model from its String form; the empty
 // string selects Transient (the campaign default).
 func ModelByName(name string) (Model, error) {

@@ -35,44 +35,86 @@ import (
 // changes verdicts, only how often a campaign may stop.
 const batchLen = 32
 
-// Quantile returns the normal quantile z a campaign computes its margins
-// at: confidence, or 1.96 (95%) when confidence is <= 0.
-func Quantile(confidence float64) float64 {
-	if confidence <= 0 {
-		return 1.96
-	}
-	return confidence
+// Sizing is a campaign's statistical sizing rule (§III): a fixed fault
+// budget, or a Wilson margin at a confidence, plus the checkpoint ladder
+// and worker pool it is dispatched with. It holds exactly the knobs the
+// kernel and the sizing rule read; campaign.Config, accel.CampaignConfig
+// and Plan embed it.
+type Sizing struct {
+	// Faults is the statistical sample size: the fixed budget, or the
+	// adaptive cap when MaxFaults is 0.
+	Faults int
+	// TargetMargin > 0 selects adaptive confidence-targeted sizing: faults
+	// are dispatched in batches from the same prefix-stable stream a fixed
+	// campaign uses, the Wilson half-width of the AVF estimate is
+	// recomputed after every batch, and the campaign stops once it drops
+	// to TargetMargin. The record stream is then an exact prefix of the
+	// fixed-budget run's (same masks, same verdicts, same digests). 0 keeps
+	// the fixed Faults budget.
+	TargetMargin float64
+	// Confidence is the normal quantile z the margins are computed at —
+	// both the adaptive stop decision and the reported Margin; <= 0 keeps
+	// the default 1.96 (95%).
+	Confidence float64
+	// MinFaults floors the adaptive sample: the stop condition is not
+	// evaluated before this many faults completed (tiny samples make the
+	// Wilson interval wide, so the floor mostly guards against a
+	// pathological TargetMargin near 1). 0 means no floor.
+	MinFaults int
+	// MaxFaults, when > 0, replaces Faults as the adaptive cap. Ignored
+	// when TargetMargin is 0.
+	MaxFaults int
+	// LadderRungs selects the checkpoint ladder: besides the window-start
+	// checkpoint, the golden run is snapshotted at this many evenly spaced
+	// cycles inside the injection window, and every transient run forks
+	// from the latest rung before its injection cycle, replaying only the
+	// residual prefix. 0 keeps the single checkpoint. Verdicts and their
+	// digests are bit-identical for every value; runs carrying a permanent
+	// fault always fork from the window start.
+	LadderRungs int
+	// Workers bounds parallelism; <= 0 means GOMAXPROCS. No more workers
+	// than faults are started. Verdicts are identical for every value.
+	Workers int
 }
 
-// ValidateSizing checks the sampling knobs every campaign entry point
-// accepts — the engines, the sweep orchestrator, the facade and the job
-// service. Errors carry no package prefix; callers add their own.
-func ValidateSizing(faults, ladderRungs int, margin, confidence float64, minFaults, maxFaults int) error {
+// Validate checks the knobs every campaign entry point accepts — the
+// engines, the sweep orchestrator, the facade and the job service.
+// Errors carry no package prefix; callers add their own.
+func (s Sizing) Validate() error {
 	switch {
-	case faults <= 0:
-		return fmt.Errorf("fault count must be positive, got %d", faults)
-	case ladderRungs < 0:
-		return fmt.Errorf("ladder rungs must be non-negative, got %d", ladderRungs)
-	case margin < 0 || margin >= 1:
-		return fmt.Errorf("target margin must be in [0, 1), got %v", margin)
-	case confidence < 0:
-		return fmt.Errorf("confidence quantile must be non-negative, got %v", confidence)
-	case minFaults < 0 || maxFaults < 0:
-		return fmt.Errorf("min/max faults must be non-negative, got %d/%d", minFaults, maxFaults)
+	case s.Faults <= 0:
+		return fmt.Errorf("fault count must be positive, got %d", s.Faults)
+	case s.LadderRungs < 0:
+		return fmt.Errorf("ladder rungs must be non-negative, got %d", s.LadderRungs)
+	case s.TargetMargin < 0 || s.TargetMargin >= 1:
+		return fmt.Errorf("target margin must be in [0, 1), got %v", s.TargetMargin)
+	case s.Confidence < 0:
+		return fmt.Errorf("confidence quantile must be non-negative, got %v", s.Confidence)
+	case s.MinFaults < 0 || s.MaxFaults < 0:
+		return fmt.Errorf("min/max faults must be non-negative, got %d/%d", s.MinFaults, s.MaxFaults)
 	}
 	return nil
 }
 
-// Budget is the number of faults a campaign plans: maxFaults replaces
-// faults when adaptive sizing (margin > 0) sets a cap. An adaptive
+// Budget is the number of faults a campaign plans: MaxFaults replaces
+// Faults when adaptive sizing (TargetMargin > 0) sets a cap. An adaptive
 // campaign draws from the first Budget entries of the same stream a fixed
 // campaign uses, so an early stop at N leaves exactly the fixed run's
 // first N records.
-func Budget(faults int, margin float64, maxFaults int) int {
-	if margin > 0 && maxFaults > 0 {
-		return maxFaults
+func (s Sizing) Budget() int {
+	if s.TargetMargin > 0 && s.MaxFaults > 0 {
+		return s.MaxFaults
 	}
-	return faults
+	return s.Faults
+}
+
+// Z returns the normal quantile the campaign computes its margins at:
+// Confidence, or 1.96 (95%) when Confidence is <= 0.
+func (s Sizing) Z() float64 {
+	if s.Confidence <= 0 {
+		return 1.96
+	}
+	return s.Confidence
 }
 
 // Scratch is a system forked from a checkpoint rung, reused by one worker
@@ -123,19 +165,14 @@ func (f *ForkStats) add(o ForkStats) {
 }
 
 // Plan describes one campaign's injection phase to the kernel. Faults are
-// the indices [0, N) of a stream drawn over a Bits-bit target population.
+// the indices [0, Budget()) of a stream drawn over a Bits-bit target
+// population; the embedded Sizing also sets the worker count and the
+// adaptive stop: after every batchLen faults, once at least MinFaults
+// completed, the campaign stops if the Wilson half-width of the AVF at
+// quantile Z() is within TargetMargin.
 type Plan[S Scratch] struct {
-	N    int
+	Sizing
 	Bits uint64
-	// Workers bounds parallelism; <= 0 means GOMAXPROCS. No more workers
-	// than faults are started.
-	Workers int
-	// TargetMargin > 0 selects adaptive sizing: after every batchLen
-	// faults, once at least MinFaults completed, the campaign stops if the
-	// Wilson half-width of the AVF at quantile Z is within TargetMargin.
-	TargetMargin float64
-	MinFaults    int
-	Z            float64
 	// Rungs is the number of mid-window ladder rungs, reported in
 	// ForkStats.
 	Rungs int
@@ -193,13 +230,14 @@ func (s *Summary) AVF() float64 { return s.Counts.AVF() }
 // The first error any run reports aborts the campaign at the end of the
 // current batch.
 func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
+	n, z := p.Budget(), p.Z()
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, p.N)
-	verdicts := make([]classify.Verdict, p.N)
-	sum := Summary{Z: p.Z, Requested: p.N}
+	workers = min(workers, n)
+	verdicts := make([]classify.Verdict, n)
+	sum := Summary{Z: z, Requested: n}
 	var mu sync.Mutex // guards firstErr and the sum.Forking fold
 	var firstErr error
 	// failed mirrors firstErr != nil so workers drain, and the dispatcher
@@ -271,10 +309,10 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 
 	adaptive := p.TargetMargin > 0
 	done := 0
-	for done < p.N {
-		hi := p.N
+	for done < n {
+		hi := n
 		if adaptive {
-			hi = min(done+batchLen, p.N)
+			hi = min(done+batchLen, n)
 		}
 		batch := make([]int, hi-done)
 		for j := range batch {
@@ -291,12 +329,12 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 		if failed.Load() {
 			break
 		}
-		if adaptive && done >= p.MinFaults && done < p.N {
+		if adaptive && done >= p.MinFaults && done < n {
 			var c metrics.Counts
 			for _, v := range verdicts[:done] {
 				c.Add(v)
 			}
-			if metrics.Confidence(c.AVF(), done, p.Z).Half() <= p.TargetMargin {
+			if metrics.Confidence(c.AVF(), done, z).Half() <= p.TargetMargin {
 				break
 			}
 		}
@@ -310,9 +348,9 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 	for _, v := range verdicts {
 		sum.Counts.Add(v)
 	}
-	sum.Margin = core.MarginFor(p.Bits, done, p.Z)
-	sum.FaultsSaved = p.N - done
-	sum.AchievedMargin = metrics.Confidence(sum.Counts.AVF(), done, p.Z).Half()
+	sum.Margin = core.MarginFor(p.Bits, done, z)
+	sum.FaultsSaved = n - done
+	sum.AchievedMargin = metrics.Confidence(sum.Counts.AVF(), done, z).Half()
 	sum.Forking.Rungs = p.Rungs
 	return verdicts, sum, nil
 }

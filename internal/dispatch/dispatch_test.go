@@ -41,13 +41,11 @@ func testPlan(t *testing.T, n, rungs, workers int) Plan[*fakeScratch] {
 		replay[i] = uint64(i % 5)
 	}
 	return Plan[*fakeScratch]{
-		N:       n,
-		Workers: workers,
-		Z:       Quantile(0),
-		Rungs:   rungs - 1,
-		Fork:    func(r int) *fakeScratch { return &fakeScratch{rung: r} },
-		RungOf:  rungOf,
-		Replay:  replay,
+		Sizing: Sizing{Faults: n, Workers: workers},
+		Rungs:  rungs - 1,
+		Fork:   func(r int) *fakeScratch { return &fakeScratch{rung: r} },
+		RungOf: rungOf,
+		Replay: replay,
 		Run: func(s *fakeScratch, i int, _ *obs.Lane) (classify.Verdict, error) {
 			if s.rung != rungOf[i] {
 				t.Errorf("fault %d ran on a rung-%d scratch, want rung %d", i, s.rung, rungOf[i])
@@ -226,30 +224,31 @@ func TestRunAbortsOnFirstError(t *testing.T) {
 
 func TestValidateSizingAndBudget(t *testing.T) {
 	for _, c := range []struct {
-		faults, ladder       int
-		margin, confidence   float64
-		minFaults, maxFaults int
-		want                 string
+		sz   Sizing
+		want string
 	}{
-		{4, 0, 0, 0, 0, 0, ""},
-		{4, 8, 0.05, 2.58, 64, 512, ""},
-		{0, 0, 0, 0, 0, 0, "fault count"},
-		{4, -1, 0, 0, 0, 0, "ladder rungs"},
-		{4, 0, -0.1, 0, 0, 0, "target margin"},
-		{4, 0, 1, 0, 0, 0, "target margin"},
-		{4, 0, 0, -1, 0, 0, "confidence"},
-		{4, 0, 0, 0, -1, 0, "min/max"},
-		{4, 0, 0, 0, 0, -1, "min/max"},
+		{Sizing{Faults: 4}, ""},
+		{Sizing{Faults: 4, LadderRungs: 8, TargetMargin: 0.05, Confidence: 2.58, MinFaults: 64, MaxFaults: 512}, ""},
+		{Sizing{}, "fault count"},
+		{Sizing{Faults: 4, LadderRungs: -1}, "ladder rungs"},
+		{Sizing{Faults: 4, TargetMargin: -0.1}, "target margin"},
+		{Sizing{Faults: 4, TargetMargin: 1}, "target margin"},
+		{Sizing{Faults: 4, Confidence: -1}, "confidence"},
+		{Sizing{Faults: 4, MinFaults: -1}, "min/max"},
+		{Sizing{Faults: 4, MaxFaults: -1}, "min/max"},
 	} {
-		err := ValidateSizing(c.faults, c.ladder, c.margin, c.confidence, c.minFaults, c.maxFaults)
+		err := c.sz.Validate()
 		if (err == nil) != (c.want == "") || (err != nil && !strings.Contains(err.Error(), c.want)) {
-			t.Errorf("ValidateSizing(%+v) = %v, want %q", c, err, c.want)
+			t.Errorf("%+v.Validate() = %v, want %q", c.sz, err, c.want)
 		}
 	}
-	if Budget(100, 0, 500) != 100 || Budget(100, 0.05, 0) != 100 || Budget(100, 0.05, 500) != 500 {
+	budget := func(faults int, margin float64, maxFaults int) int {
+		return Sizing{Faults: faults, TargetMargin: margin, MaxFaults: maxFaults}.Budget()
+	}
+	if budget(100, 0, 500) != 100 || budget(100, 0.05, 0) != 100 || budget(100, 0.05, 500) != 500 {
 		t.Error("Budget: MaxFaults must replace Faults only when a margin is set")
 	}
-	if Quantile(0) != 1.96 || Quantile(-1) != 1.96 || Quantile(2.58) != 2.58 {
-		t.Error("Quantile must default to 1.96")
+	if (Sizing{}).Z() != 1.96 || (Sizing{Confidence: -1}).Z() != 1.96 || (Sizing{Confidence: 2.58}).Z() != 2.58 {
+		t.Error("Z must default to 1.96")
 	}
 }

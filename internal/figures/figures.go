@@ -17,6 +17,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
 	"marvel/internal/metrics"
@@ -255,7 +256,7 @@ func Fig16(p Params) error {
 				Preset: config.TableII(),
 				Target: tgt,
 				Model:  core.Transient,
-				Faults: p.Faults,
+				Sizing: dispatch.Sizing{Faults: p.Faults},
 				Seed:   Seed,
 				Domain: core.DomainValidOnly,
 			})
@@ -330,7 +331,7 @@ func Fig17(p Params) error {
 		d := machsuite.GemmDesign(fus)
 		res, err := accel.RunCampaign(accel.CampaignConfig{
 			Design: d, Task: machsuite.GemmTask(), Target: "MATRIX1",
-			Model: core.Transient, Faults: p.Faults, Seed: Seed,
+			Model: core.Transient, Sizing: dispatch.Sizing{Faults: p.Faults}, Seed: Seed,
 			WindowOverride: window,
 		})
 		if err != nil {
@@ -401,7 +402,7 @@ func Listing1(p Params) (float64, error) {
 		Preset: pre,
 		Target: "l1d",
 		Model:  core.Transient,
-		Faults: p.Faults,
+		Sizing: dispatch.Sizing{Faults: p.Faults},
 		Seed:   Seed,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 )
 
@@ -102,7 +103,7 @@ func TestBFSFaultsAreMostlyCrashes(t *testing.T) {
 		Task:   s.Task,
 		Target: "EDGES",
 		Model:  core.Transient,
-		Faults: 60,
+		Sizing: dispatch.Sizing{Faults: 60},
 		Seed:   4,
 	})
 	if err != nil {
@@ -125,7 +126,7 @@ func TestFFTFaultsAreMostlySDCs(t *testing.T) {
 		Task:   s.Task,
 		Target: "REAL",
 		Model:  core.Transient,
-		Faults: 60,
+		Sizing: dispatch.Sizing{Faults: 60},
 		Seed:   4,
 	})
 	if err != nil {
@@ -175,7 +176,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 	cfg := accel.CampaignConfig{
 		Design: s.Design, Task: s.Task, Target: "SOL",
-		Model: core.Transient, Faults: 30, Seed: 9,
+		Model: core.Transient, Sizing: dispatch.Sizing{Faults: 30}, Seed: 9,
 	}
 	r1, err := accel.RunCampaign(cfg)
 	if err != nil {
@@ -197,7 +198,7 @@ func TestPermanentFaultCampaign(t *testing.T) {
 	}
 	res, err := accel.RunCampaign(accel.CampaignConfig{
 		Design: s.Design, Task: s.Task, Target: "MATRIX1",
-		Model: core.StuckAt1, Faults: 30, Seed: 2,
+		Model: core.StuckAt1, Sizing: dispatch.Sizing{Faults: 30}, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

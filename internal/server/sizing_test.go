@@ -13,12 +13,13 @@ import (
 	"marvel/internal/accel"
 	"marvel/internal/campaign"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 	"marvel/internal/sweep"
 )
 
 // TestSizingRejectedAtEveryEntryPoint: the sampling knobs share one rule
-// (dispatch.ValidateSizing), so the same bad value is rejected with the
+// (dispatch.Sizing.Validate), so the same bad value is rejected with the
 // same diagnosis by both engine configs, the sweep orchestrator, the
 // three facade Validates and the job service's HTTP 400.
 func TestSizingRejectedAtEveryEntryPoint(t *testing.T) {
@@ -86,15 +87,15 @@ func TestSizingRejectedAtEveryEntryPoint(t *testing.T) {
 			}{
 				{"campaign.RunWithGolden", func() error {
 					_, err := campaign.RunWithGolden(campaign.Config{Target: "prf", Model: core.Transient,
-						Faults: s.faults, LadderRungs: s.ladder, TargetMargin: s.margin,
-						Confidence: s.confidence, MinFaults: s.minFaults, MaxFaults: s.maxFaults}, nil)
+						Sizing: dispatch.Sizing{Faults: s.faults, LadderRungs: s.ladder, TargetMargin: s.margin, Confidence: s.confidence, MinFaults: s.minFaults, MaxFaults: s.maxFaults},
+					}, nil)
 					return err
 				}},
 				{"accel.RunCampaignWithGolden", func() error {
 					_, err := accel.RunCampaignWithGolden(accel.CampaignConfig{Design: gemm.Design, Task: gemm.Task,
 						Target: "MATRIX1", Model: core.Transient,
-						Faults: s.faults, LadderRungs: s.ladder, TargetMargin: s.margin,
-						Confidence: s.confidence, MinFaults: s.minFaults, MaxFaults: s.maxFaults}, nil)
+						Sizing: dispatch.Sizing{Faults: s.faults, LadderRungs: s.ladder, TargetMargin: s.margin, Confidence: s.confidence, MinFaults: s.minFaults, MaxFaults: s.maxFaults},
+					}, nil)
 					return err
 				}},
 				{"sweep.Run", func() error {

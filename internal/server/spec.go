@@ -21,7 +21,6 @@ import (
 	"hash/fnv"
 
 	"marvel"
-	"marvel/internal/dispatch"
 	"marvel/internal/sweep"
 )
 
@@ -137,5 +136,5 @@ func (r Request) TotalFaults() int64 {
 	if err != nil {
 		return 0
 	}
-	return int64(len(cells)) * int64(dispatch.Budget(g.Faults, g.TargetMargin, g.MaxFaults))
+	return int64(len(cells)) * int64(g.Sizing().Budget())
 }

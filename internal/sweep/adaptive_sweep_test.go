@@ -15,6 +15,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/program"
 	"marvel/internal/sweep"
@@ -61,14 +62,13 @@ func TestSweepAdaptiveDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		standalone, err := campaign.Run(campaign.Config{
-			Image:        img,
-			Preset:       config.Fast(),
-			Target:       cell.Target,
-			Model:        core.Transient,
-			Faults:       spec.Faults,
-			Seed:         spec.Seed,
-			Domain:       core.DomainValidOnly,
-			TargetMargin: spec.TargetMargin,
+			Image:  img,
+			Preset: config.Fast(),
+			Target: cell.Target,
+			Model:  core.Transient,
+			Sizing: dispatch.Sizing{Faults: spec.Faults, TargetMargin: spec.TargetMargin},
+			Seed:   spec.Seed,
+			Domain: core.DomainValidOnly,
 		})
 		if err != nil {
 			t.Fatal(err)

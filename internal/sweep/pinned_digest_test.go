@@ -6,6 +6,7 @@ import (
 
 	"marvel/internal/accel"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/machsuite"
 	"marvel/internal/sweep"
 )
@@ -199,7 +200,7 @@ func TestAccelDigestsPinned(t *testing.T) {
 					Task:   machsuite.GemmTask(),
 					Target: tgt,
 					Model:  model,
-					Faults: 32,
+					Sizing: dispatch.Sizing{Faults: 32},
 					Seed:   20240302,
 				})
 				if err != nil {

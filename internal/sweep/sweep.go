@@ -53,20 +53,14 @@ type Spec struct {
 
 	Faults int // statistical sample size per cell
 	Seed   int64
-	// TargetMargin > 0 enables adaptive confidence-targeted sizing in
-	// every cell: each campaign stops drawing masks once the Wilson
-	// half-width on its AVF falls to this margin. Faults (or MaxFaults)
-	// becomes the per-cell upper bound; the journal records each cell's
-	// achieved N so a resumed sweep replays exactly.
+	// TargetMargin, Confidence, MinFaults and MaxFaults are every cell's
+	// adaptive sizing rule, documented on dispatch.Sizing (see
+	// Spec.Sizing). The journal records each adaptive cell's achieved N,
+	// so a resumed sweep replays exactly.
 	TargetMargin float64
-	// Confidence is the z quantile for adaptive stopping and reported
-	// margins; 0 keeps 1.96 (95%).
-	Confidence float64
-	// MinFaults floors adaptive cells: no cell stops before this many
-	// injections regardless of interval width.
-	MinFaults int
-	// MaxFaults, when > 0, overrides Faults as the adaptive budget cap.
-	MaxFaults int
+	Confidence   float64
+	MinFaults    int
+	MaxFaults    int
 	// BitsPerFault > 1 selects multi-bit masks (CPU cells).
 	BitsPerFault int
 	// ValidOnly draws CPU faults over live entries only.
@@ -84,13 +78,10 @@ type Spec struct {
 	// "table2" is the paper's Table II; "fast" is the scaled-down test
 	// preset (small caches).
 	Preset string
-	// LadderRungs forwards the checkpoint ladder to every cell's campaign:
-	// snapshot the golden run at this many evenly spaced cycles inside the
-	// injection window and fork each transient run from the nearest rung
-	// before its injection cycle. 0 keeps the single checkpoint. Verdicts
-	// and digests are bit-identical for every value, so the resume journal
-	// deliberately excludes it from the grid identity — a resumed sweep may
-	// change ladder depth.
+	// LadderRungs is every cell's checkpoint ladder depth
+	// (dispatch.Sizing). Verdicts and digests are bit-identical for every
+	// value, so the resume journal deliberately excludes it from the grid
+	// identity — a resumed sweep may change ladder depth.
 	LadderRungs int
 
 	// Workers is the global worker budget shared by all concurrently
@@ -295,7 +286,7 @@ func Plan(spec Spec) ([]Cell, error) {
 			}
 		}
 		for _, tgt := range spec.Targets {
-			if _, err := SplitTarget(tgt); err != nil {
+			if _, err := splitTarget(tgt); err != nil {
 				return nil, err
 			}
 		}
@@ -358,10 +349,10 @@ func Plan(spec Spec) ([]Cell, error) {
 	return cells, nil
 }
 
-// SplitTarget parses a CPU target spec into its structure list,
+// splitTarget parses a CPU target spec into its structure list,
 // validating every name against campaign.CPUTargets and rejecting
 // duplicates. A single-structure spec returns a one-element list.
-func SplitTarget(tgt string) ([]string, error) {
+func splitTarget(tgt string) ([]string, error) {
 	parts := strings.Split(tgt, "+")
 	seen := make(map[string]bool, len(parts))
 	for _, p := range parts {
@@ -420,7 +411,7 @@ func (spec Spec) resolve() ([]Cell, config.Preset, error) {
 	if err != nil {
 		return nil, config.Preset{}, err
 	}
-	if err := dispatch.ValidateSizing(spec.Faults, spec.LadderRungs, spec.TargetMargin, spec.Confidence, spec.MinFaults, spec.MaxFaults); err != nil {
+	if err := spec.Sizing().Validate(); err != nil {
 		return nil, config.Preset{}, fmt.Errorf("sweep: %w", err)
 	}
 	pre, err := PresetFor(spec.Preset, spec.PhysRegs)
@@ -469,7 +460,7 @@ func Run(spec Spec) (_ *Result, err error) {
 
 	// Per-cell budget: the adaptive cap when one is set, else the fixed
 	// sample size. TotalFaults is an upper bound once cells stop early.
-	cellBudget := dispatch.Budget(spec.Faults, spec.TargetMargin, spec.MaxFaults)
+	cellBudget := spec.Sizing().Budget()
 
 	start := time.Now() //marvel:allow determinism progress/ETA wall-clock; verdict streams and digests never see it
 	tr := newTracker(spec.OnProgress, spec.Metrics, len(cells), int64(cellBudget)*int64(len(cells)), start)
@@ -579,6 +570,105 @@ func Run(spec Spec) (_ *Result, err error) {
 	return res, nil
 }
 
+// Sizing is the grid's sampling rule, the one value every cell's engine
+// config is built from. Workers is the grid-wide budget; each running
+// cell gets its share of it (see Run).
+func (spec Spec) Sizing() dispatch.Sizing {
+	return dispatch.Sizing{
+		Faults:       spec.Faults,
+		TargetMargin: spec.TargetMargin,
+		Confidence:   spec.Confidence,
+		MinFaults:    spec.MinFaults,
+		MaxFaults:    spec.MaxFaults,
+		LadderRungs:  spec.LadderRungs,
+		Workers:      spec.Workers,
+	}
+}
+
+// cellRun is one planned cell translated for its engine: the config and
+// the golden it runs against. Only the pair of the cell's kind is set.
+type cellRun struct {
+	cpu         campaign.Config
+	cpuGolden   *campaign.Golden
+	accel       accel.CampaignConfig
+	accelGolden *accel.CampaignGolden
+}
+
+// translate is the one path from a grid cell to an engine: it resolves
+// the cell's golden through goldens (hit reports a cache hit) and builds
+// the engine config from the spec, with workers as the cell's share of
+// the worker budget. runCell and Explain both run what it returns.
+func (spec Spec) translate(pre config.Preset, cell Cell, workers int, goldens GoldenCache) (cellRun, bool, error) {
+	var c cellRun
+	model, err := core.ModelByName(cell.Model)
+	if err != nil {
+		return c, false, err
+	}
+	sz := spec.Sizing()
+	sz.Workers = workers
+	// Cache misses pay the golden build; attribute it on its own lane, as
+	// concurrent cells may miss simultaneously.
+	goldenSpan := func() obs.Span { return spec.Profile.NewLane("golden").Begin(obs.PhaseGolden) }
+	switch cell.Kind {
+	case KindCPU:
+		targets, err := splitTarget(cell.Target)
+		if err != nil {
+			return c, false, err
+		}
+		g, hit, err := goldens.CPUGolden(CPUGoldenKey(cell.ISA, cell.Workload, pre), func() (*CPUGolden, error) {
+			defer goldenSpan().End()
+			return BuildCPUGolden(cell.ISA, cell.Workload, pre)
+		})
+		if err != nil {
+			return c, false, err
+		}
+		c.cpu = campaign.Config{
+			Image:            g.Image,
+			Preset:           pre,
+			Model:            model,
+			BitsPerFault:     spec.BitsPerFault,
+			Seed:             spec.Seed,
+			Sizing:           sz,
+			HVF:              spec.HVF,
+			EarlyTermination: spec.EarlyTermination,
+			WatchdogFactor:   spec.WatchdogFactor,
+			Profile:          spec.Profile,
+		}
+		if spec.ValidOnly {
+			c.cpu.Domain = core.DomainValidOnly
+		}
+		if len(targets) > 1 {
+			c.cpu.MultiTargets = targets
+		} else {
+			c.cpu.Target = targets[0]
+		}
+		c.cpuGolden = g.Golden
+		return c, hit, nil
+
+	case KindAccel:
+		g, hit, err := goldens.AccelGolden(AccelGoldenKey(cell.Design), func() (*AccelGolden, error) {
+			defer goldenSpan().End()
+			return BuildAccelGolden(cell.Design)
+		})
+		if err != nil {
+			return c, false, err
+		}
+		c.accel = accel.CampaignConfig{
+			Design:         g.Spec.Design,
+			Task:           g.Spec.Task,
+			Target:         cell.Component,
+			Model:          model,
+			Seed:           spec.Seed,
+			Sizing:         sz,
+			WatchdogFactor: spec.WatchdogFactor,
+			Profile:        spec.Profile,
+		}
+		c.accelGolden = g.Golden
+		return c, hit, nil
+	}
+	return c, false, fmt.Errorf("sweep: unknown cell kind %q", cell.Kind)
+}
+
 // runCell executes one cell, preparing (or reusing) its golden phase.
 // hit reports whether the golden came from the cache.
 func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
@@ -593,97 +683,30 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 			cb(c, i, v)
 		}
 	}
-	switch cell.Kind {
-	case KindCPU:
-		g, hit, err := goldens.CPUGolden(CPUGoldenKey(cell.ISA, cell.Workload, pre), func() (*CPUGolden, error) {
-			// Cache misses pay the golden build; attribute it (its own
-			// lane — concurrent cells may miss simultaneously).
-			sp := spec.Profile.NewLane("golden").Begin(obs.PhaseGolden)
-			defer sp.End()
-			return BuildCPUGolden(cell.ISA, cell.Workload, pre)
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		model, _ := core.ModelByName(cell.Model)
-		targets, err := SplitTarget(cell.Target)
-		if err != nil {
-			return nil, false, err
-		}
-		cfg := campaign.Config{
-			Image:            g.Image,
-			Preset:           pre,
-			Model:            model,
-			Faults:           spec.Faults,
-			BitsPerFault:     spec.BitsPerFault,
-			Seed:             spec.Seed,
-			Workers:          workers,
-			HVF:              spec.HVF,
-			EarlyTermination: spec.EarlyTermination,
-			WatchdogFactor:   spec.WatchdogFactor,
-			LadderRungs:      spec.LadderRungs,
-			TargetMargin:     spec.TargetMargin,
-			Confidence:       spec.Confidence,
-			MinFaults:        spec.MinFaults,
-			MaxFaults:        spec.MaxFaults,
-			OnVerdict:        onVerdict,
-			Profile:          spec.Profile,
-		}
-		if spec.ValidOnly {
-			cfg.Domain = core.DomainValidOnly
-		}
-		if len(targets) > 1 {
-			cfg.MultiTargets = targets
-		} else {
-			cfg.Target = targets[0]
-		}
-		cres, err := campaign.RunWithGolden(cfg, g.Golden)
-		if err != nil {
-			return nil, false, err
-		}
-		rep = cellReport(cell, cres.Summary, cres.Forking, cres.Golden.Cycles, cres.TargetBits, DigestCPURecords(cres.Records), t0)
-		return rep, hit, nil
-
-	case KindAccel:
-		g, hit, err := goldens.AccelGolden(AccelGoldenKey(cell.Design), func() (*AccelGolden, error) {
-			sp := spec.Profile.NewLane("golden").Begin(obs.PhaseGolden)
-			defer sp.End()
-			return BuildAccelGolden(cell.Design)
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		model, _ := core.ModelByName(cell.Model)
-		ares, err := accel.RunCampaignWithGolden(accel.CampaignConfig{
-			Design:         g.Spec.Design,
-			Task:           g.Spec.Task,
-			Target:         cell.Component,
-			Model:          model,
-			Faults:         spec.Faults,
-			Seed:           spec.Seed,
-			WatchdogFactor: spec.WatchdogFactor,
-			Workers:        workers,
-			LadderRungs:    spec.LadderRungs,
-			TargetMargin:   spec.TargetMargin,
-			Confidence:     spec.Confidence,
-			MinFaults:      spec.MinFaults,
-			MaxFaults:      spec.MaxFaults,
-			OnVerdict:      onVerdict,
-			Profile:        spec.Profile,
-		}, g.Golden)
-		if err != nil {
-			return nil, false, err
-		}
-		rep = cellReport(cell, ares.Summary, ares.Forking, ares.GoldenCycles, ares.TargetBits, DigestAccelRecords(ares.Records), t0)
-		return rep, hit, nil
+	c, hit, err := spec.translate(pre, cell, workers, goldens)
+	if err != nil {
+		return nil, false, err
 	}
-	return nil, false, fmt.Errorf("sweep: unknown cell kind %q", cell.Kind)
+	if cell.Kind == KindCPU {
+		c.cpu.OnVerdict = onVerdict
+		res, err := campaign.RunWithGolden(c.cpu, c.cpuGolden)
+		if err != nil {
+			return nil, false, err
+		}
+		return cellReport(cell, res.Summary, res.Golden.Cycles, res.TargetBits, DigestCPURecords(res.Records), t0), hit, nil
+	}
+	c.accel.OnVerdict = onVerdict
+	res, err := accel.RunCampaignWithGolden(c.accel, c.accelGolden)
+	if err != nil {
+		return nil, false, err
+	}
+	return cellReport(cell, res.Summary, res.GoldenCycles, res.TargetBits, DigestAccelRecords(res.Records), t0), hit, nil
 }
 
 // cellReport converts one cell's campaign outcome — the dispatch kernel's
-// summary and fork counters plus the engine's golden length, target size
-// and record digest — into the persisted form.
-func cellReport(cell Cell, sum dispatch.Summary, fc dispatch.ForkStats, goldenCycles, targetBits uint64, digest string, t0 time.Time) *CellReport {
+// summary (with its fork counters) plus the engine's golden length, target
+// size and record digest — into the persisted form.
+func cellReport(cell Cell, sum dispatch.Summary, goldenCycles, targetBits uint64, digest string, t0 time.Time) *CellReport {
 	r := &CellReport{
 		Key:            cell.Key(),
 		Cell:           cell,
@@ -705,7 +728,7 @@ func cellReport(cell Cell, sum dispatch.Summary, fc dispatch.ForkStats, goldenCy
 		TargetBits:     targetBits,
 		Digest:         digest,
 		WallMS:         time.Since(t0).Milliseconds(), //marvel:allow determinism wall attribution metadata
-		Forking:        fc,
+		Forking:        sum.Forking,
 	}
 	if sum.Counts.HVFMeasured() {
 		r.HVFMeasured = true

@@ -10,6 +10,7 @@ import (
 	"marvel/internal/campaign"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
 	"marvel/internal/program"
@@ -203,7 +204,7 @@ func TestSweepDifferential(t *testing.T) {
 			Image:  img,
 			Preset: config.Fast(),
 			Model:  core.Transient,
-			Faults: spec.Faults,
+			Sizing: dispatch.Sizing{Faults: spec.Faults},
 			Seed:   spec.Seed,
 			Domain: core.DomainValidOnly,
 		}
@@ -258,7 +259,7 @@ func TestSweepAccelDifferential(t *testing.T) {
 			Task:   ms.Task,
 			Target: cellRep.Cell.Component,
 			Model:  core.Transient,
-			Faults: spec.Faults,
+			Sizing: dispatch.Sizing{Faults: spec.Faults},
 			Seed:   spec.Seed,
 		})
 		if err != nil {

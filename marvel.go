@@ -113,20 +113,15 @@ type CampaignOptions struct {
 	Faults int // statistical sample size (paper default: 1000)
 	Seed   int64
 
-	// TargetMargin > 0 enables adaptive confidence-targeted sizing: the
-	// campaign draws masks in batches from the same prefix-stable stream
-	// and stops once the Wilson half-width on the AVF falls to this
-	// margin, making Faults (or MaxFaults) an upper bound. The executed
-	// records are bit-identical to the first N of the fixed-budget run.
+	// Adaptive confidence-targeted sizing: TargetMargin > 0 stops the
+	// campaign once the Wilson half-width on the AVF reaches it, making
+	// Faults (or MaxFaults, when > 0) an upper bound; the executed records
+	// are bit-identical to the first N of the fixed-budget run. Confidence
+	// is the z quantile (0 = 1.96); MinFaults floors the sample.
 	TargetMargin float64
-	// Confidence is the z quantile for adaptive stopping and reported
-	// margins; 0 keeps 1.96 (95%).
-	Confidence float64
-	// MinFaults floors adaptive campaigns: never stop before this many
-	// injections, however narrow the interval.
-	MinFaults int
-	// MaxFaults, when > 0, replaces Faults as the adaptive budget cap.
-	MaxFaults int
+	Confidence   float64
+	MinFaults    int
+	MaxFaults    int
 
 	// BitsPerFault > 1 selects multi-bit masks (spatial multi-fault
 	// mode); 0 or 1 is the single-bit default.

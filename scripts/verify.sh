@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repository's full verification gauntlet:
-#   1. tier-1: build + vet + gofmt cleanliness + full test suite
+#   1. tier-1: build + vet + gofmt cleanliness + full test suite, plus
+#      vet + tests of the separate perfbench module
 #   1b. marvel-vet lint job: the custom static-analysis suite
 #       (determinism, maporder, rngsource, obscost, errdiscipline) must
 #       pass on the whole tree, and — guard-the-guard — must demonstrably
@@ -48,6 +49,9 @@ dirty="$(gofmt -l .)"
 	exit 1
 }
 go test ./...
+# perfbench is its own module, so the root build never compiles it; vet
+# and test it here so an API break it depends on fails in seconds.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== marvel-vet: custom static-analysis suite =="
 go run ./cmd/marvel-vet ./...
