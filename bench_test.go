@@ -221,13 +221,17 @@ func BenchmarkAblation_EarlyTermination(b *testing.B) {
 }
 
 // BenchmarkAblation_CheckpointForking measures the campaign's faulty-run
-// setup strategies: per-run deep cloning of the checkpoint (the clone
-// oracle of the fork-equivalence suite) vs copy-on-write forking with
-// dirty-state reset (the dispatch kernel), plus the cold-start baseline
-// (no checkpoint at all). The per-fault-setup sub-benchmarks isolate the
-// setup cost itself — the acceptance bar is CoW reset at least 2x cheaper
-// than a deep clone — while the end-to-end ones include the simulation so
-// the whole-campaign effect is visible.
+// setup strategies: a fresh Clone of the checkpoint per run (the clone
+// oracle of the fork-equivalence suite; the "deep-clone" sub-benchmarks
+// keep their old name, but Clone now copies the CPU core and the page and
+// block tables and shares every memory page and cache block) vs one
+// reused fork rolled back by Reset (the dispatch kernel), plus the
+// cold-start baseline (no checkpoint at all). The per-fault-setup pair
+// isolates the setup cost itself: a Clone allocates the tables and the
+// core, a Reset restores the buffers the last run wrote. A run on a clone
+// then pays to copy every block and page it writes, which a reset fork
+// does into its spares; the end-to-end ones include that and the
+// simulation, so the whole-campaign effect is visible.
 func BenchmarkAblation_CheckpointForking(b *testing.B) {
 	spec, err := workloads.ByName("rijndael")
 	if err != nil {

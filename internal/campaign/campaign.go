@@ -166,8 +166,10 @@ type rung struct {
 
 // ladder returns the checkpoint ladder for k mid-window rungs, building
 // and memoizing it on first use. Rung 0 is always the window-start
-// checkpoint; rungs 1..k are deep clones taken while replaying the
-// fault-free window once, at evenly spaced target cycles. The golden
+// checkpoint; rungs 1..k are clones taken while replaying the fault-free
+// window once, at evenly spaced target cycles. A rung shares every memory
+// page and cache block the walker did not write since the previous rung,
+// so it costs only the pages and blocks the walker touched in between. The golden
 // prefix is deterministic, so a run forked from rung r is bit-identical to
 // a window-start fork stepped to the same cycle; rungs record their
 // actual snapshot cycle so selection stays sound even if a step advances

@@ -9,8 +9,11 @@ import (
 
 // RunCloneOracle is the reference the fork-equivalence suite holds the
 // dispatch kernel to: the campaign's masks run serially, each on a fresh
-// deep Clone of the window-start checkpoint — no copy-on-write, no scratch
-// reuse, no ladder, no worker pool. Fixed budgets only (cfg.Faults masks).
+// Clone of the window-start checkpoint — no fork journal or reset, no
+// scratch reuse, no ladder, no worker pool. Fixed budgets only (cfg.Faults
+// masks). Clone shares pages and cache blocks like Fork does, so the
+// sharing itself is checked against flat models by mem's
+// FuzzMemoryPaging and FuzzCachePaging.
 func RunCloneOracle(cfg Config) (*Result, error) {
 	g, err := PrepareGolden(cfg)
 	if err != nil {

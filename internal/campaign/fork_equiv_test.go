@@ -3,7 +3,7 @@ package campaign_test
 // Differential equivalence suite for copy-on-write checkpoint forking:
 // the dispatch kernel's CoW fork/reset strategy must be bit-for-bit
 // indistinguishable from the clone oracle, which runs every mask serially
-// on a deep Clone of the checkpoint. Every CPU target runs the same small
+// on a fresh Clone of the checkpoint. Every CPU target runs the same small
 // campaign under both and the complete results — per-mask
 // classifications, HVF commit-trace verdicts, cycle counts, crash codes,
 // aggregate counts and AVF/HVF numbers — are compared field by field.

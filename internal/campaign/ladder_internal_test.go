@@ -12,12 +12,19 @@ import (
 	"marvel/internal/core"
 	"marvel/internal/dispatch"
 	"marvel/internal/isa"
+	"marvel/internal/mem"
 	"marvel/internal/obs"
 	"marvel/internal/program"
 	"marvel/internal/workloads"
 )
 
 func prepareTestGolden(t *testing.T) (*Golden, Config) {
+	t.Helper()
+	return prepareTestGoldenOn(t, config.Fast())
+}
+
+// prepareTestGoldenOn prepares the riscv/crc32 golden run on preset.
+func prepareTestGoldenOn(t *testing.T, preset config.Preset) (*Golden, Config) {
 	t.Helper()
 	a, err := isa.ByName("riscv")
 	if err != nil {
@@ -33,7 +40,7 @@ func prepareTestGolden(t *testing.T) (*Golden, Config) {
 	}
 	cfg := Config{
 		Image:          img,
-		Preset:         config.Fast(),
+		Preset:         preset,
 		Target:         "prf",
 		Model:          core.Transient,
 		Sizing:         dispatch.Sizing{Faults: 1},
@@ -83,6 +90,28 @@ func TestLadderRungPlacement(t *testing.T) {
 	again := g.ladder(k)
 	if &again[0] != &rungs[0] {
 		t.Error("ladder(k) rebuilt instead of returning the memoized rungs")
+	}
+}
+
+// TestLadderCacheFootprint guards the block-shared caches end to end: the
+// 8-rung ladder of riscv/crc32 on the paper's Table II caches (1.2 MB per
+// hierarchy) holds under 1 MiB of distinct cache blocks across all its
+// rungs, because each rung shares every block the walker did not touch
+// since the previous one.
+func TestLadderCacheFootprint(t *testing.T) {
+	g, _ := prepareTestGoldenOn(t, config.TableII())
+	rungs := g.ladder(8)
+	if len(rungs) != 9 {
+		t.Fatalf("ladder(8) built %d rungs, want 9", len(rungs))
+	}
+	hs := make([]*mem.Hierarchy, len(rungs))
+	for i, r := range rungs {
+		hs[i] = r.sys.Hier
+	}
+	got := mem.CacheFootprint(hs...)
+	t.Logf("%d rungs hold %d bytes of cache blocks", len(rungs), got)
+	if got >= 1<<20 {
+		t.Errorf("%d rungs hold %d bytes of cache blocks, want < %d", len(rungs), got, 1<<20)
 	}
 }
 

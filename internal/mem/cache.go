@@ -53,19 +53,59 @@ type stuckBit struct {
 	value   byte // 0 or the mask bit set
 }
 
+// blockBytes is the line data a cache block holds, unless one set is
+// larger: a block always holds whole sets.
+const blockBytes = 4 << 10
+
+// cacheLine is one line's tag state.
+type cacheLine struct {
+	tag   uint64
+	valid bool
+	dirty bool
+}
+
+// cacheBlock holds the state of a run of consecutive whole sets: the
+// tags, valid and dirty bits of their lines, their PLRU words and their
+// line data. Blocks are the unit a cache shares with its clones and forks
+// (see cowTable); an all-zero block, which a nil entry reads as, is the
+// state of a freshly built cache: all lines invalid, PLRU and data zero.
+type cacheBlock struct {
+	lines []cacheLine
+	plru  []uint16
+	data  []byte
+}
+
+func fillBlock(dst, src *cacheBlock) {
+	if src != nil {
+		copy(dst.lines, src.lines)
+		copy(dst.plru, src.plru)
+		copy(dst.data, src.data)
+	} else {
+		clear(dst.lines)
+		clear(dst.plru)
+		clear(dst.data)
+	}
+}
+
 // Cache is a set-associative write-back, write-allocate cache with
 // tree-PLRU replacement. Its data array is a fault-injection target.
+//
+// The per-set state lives in a copy-on-write table of blocks of whole
+// sets (see cowTable), so a new cache allocates only the blocks a run
+// touches, and Clone and Fork copy only the block table. Lines and data
+// bytes are numbered cache-wide in set order (line set*ways+way, byte
+// line*LineBytes+offset): the numbering of fault bits, stuck bits and the
+// watchpoint. Block b holds lines [b*blockLines, (b+1)*blockLines).
 type Cache struct {
 	cfg       CacheConfig
 	sets      int
 	lineShift uint
+	tagShift  uint // lineShift + log2(sets)
 	setMask   uint64
 
-	tags  []uint64
-	valid []bool
-	dirty []bool
-	data  []byte
-	plru  []uint16
+	blockShift uint // a set's block is set >> blockShift
+	blockLines int  // lines per block
+	blocks     cowTable[cacheBlock]
 
 	lower level
 	Stats CacheStats
@@ -73,12 +113,12 @@ type Cache struct {
 	stuck []stuckBit
 
 	watchArmed bool
-	watchByte  uint64 // byte index in data array
+	watchByte  uint64 // cache-wide byte index
 	watchState core.WatchState
 
 	// Fork support: golden points at the frozen checkpoint cache this one
-	// was forked from; setDirty/dirtySets journal which sets have diverged
-	// so ResetToGolden restores only those (O(touched sets)).
+	// was forked from; setDirty/dirtySets journal the sets written since
+	// the last ResetToGolden, which counts them.
 	golden       *Cache
 	setDirty     []bool
 	dirtySets    []int
@@ -91,22 +131,36 @@ func NewCache(cfg CacheConfig, lower level) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	var shift uint
+	var shift, setShift uint
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	n := sets * cfg.Ways
+	for 1<<setShift != sets {
+		setShift++
+	}
+	blockSets := min(sets, max(1, blockBytes/(cfg.LineBytes*cfg.Ways)))
+	var blockShift uint
+	for 1<<blockShift != blockSets {
+		blockShift++
+	}
+	lines := blockSets * cfg.Ways
+	alloc := func() *cacheBlock {
+		return &cacheBlock{
+			lines: make([]cacheLine, lines),
+			plru:  make([]uint16, blockSets),
+			data:  make([]byte, lines*cfg.LineBytes),
+		}
+	}
 	return &Cache{
-		cfg:       cfg,
-		sets:      sets,
-		lineShift: shift,
-		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		dirty:     make([]bool, n),
-		data:      make([]byte, n*cfg.LineBytes),
-		plru:      make([]uint16, sets),
-		lower:     lower,
+		cfg:        cfg,
+		sets:       sets,
+		lineShift:  shift,
+		tagShift:   shift + setShift,
+		setMask:    uint64(sets - 1),
+		blockShift: blockShift,
+		blockLines: lines,
+		blocks:     newCowTable(sets/blockSets, alloc, fillBlock),
+		lower:      lower,
 	}, nil
 }
 
@@ -118,22 +172,39 @@ func (c *Cache) Sets() int { return c.sets }
 
 func (c *Cache) setOf(addr uint64) int { return int(addr >> c.lineShift & c.setMask) }
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr >> c.lineShift / uint64(c.sets)
+	return addr >> c.tagShift
 }
 func (c *Cache) lineAddr(set int, tag uint64) uint64 {
 	return (tag*uint64(c.sets) + uint64(set)) << c.lineShift
 }
-func (c *Cache) way(set, way int) int { return set*c.cfg.Ways + way }
 
-func (c *Cache) lineData(set, way int) []byte {
-	off := c.way(set, way) * c.cfg.LineBytes
-	return c.data[off : off+c.cfg.LineBytes]
+// block returns the block holding set and the block-local index of the
+// set's first line; the block is nil while it reads as fresh.
+func (c *Cache) block(set int) (*cacheBlock, int) {
+	return c.blocks.bufs[set>>c.blockShift], set * c.cfg.Ways & (c.blockLines - 1)
 }
 
-// plruTouch marks way as most-recently used within set.
-func (c *Cache) plruTouch(set, way int) {
-	bits := c.plru[set]
-	node, lo, hi := 1, 0, c.cfg.Ways
+// writeSet journals a write to set and returns its block, owned by this
+// cache, and the block-local index of the set's first line.
+func (c *Cache) writeSet(set int) (*cacheBlock, int) {
+	c.markSet(set)
+	return c.blocks.writable(set >> c.blockShift), set * c.cfg.Ways & (c.blockLines - 1)
+}
+
+// plru returns set's PLRU word in blk, the block holding set.
+func (c *Cache) plru(blk *cacheBlock, set int) *uint16 {
+	return &blk.plru[set&(1<<c.blockShift-1)]
+}
+
+// lineData returns the data of the block-local line l.
+func (c *Cache) lineData(blk *cacheBlock, l int) []byte {
+	off := l * c.cfg.LineBytes
+	return blk.data[off : off+c.cfg.LineBytes]
+}
+
+// plruTouch returns the PLRU word bits with way marked most-recently used.
+func plruTouch(bits uint16, way, ways int) uint16 {
+	node, lo, hi := 1, 0, ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if way < mid {
@@ -144,13 +215,12 @@ func (c *Cache) plruTouch(set, way int) {
 			node, lo = node*2+1, mid
 		}
 	}
-	c.plru[set] = bits
+	return bits
 }
 
-// plruVictim returns the way the tree points at.
-func (c *Cache) plruVictim(set int) int {
-	bits := c.plru[set]
-	node, lo, hi := 1, 0, c.cfg.Ways
+// plruVictim returns the way the PLRU word bits points at.
+func plruVictim(bits uint16, ways int) int {
+	node, lo, hi := 1, 0, ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
 		if bits>>node&1 == 1 {
@@ -162,41 +232,41 @@ func (c *Cache) plruVictim(set int) int {
 	return lo
 }
 
-// lookup finds the way holding addr's line, if present.
-func (c *Cache) lookup(addr uint64) (set, way int, hit bool) {
-	set = c.setOf(addr)
-	tag := c.tagOf(addr)
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := c.way(set, w)
-		if c.valid[i] && c.tags[i] == tag {
-			return set, w, true
+// lookup finds the way of the set whose first line is blk's line base
+// that holds tag, if present.
+func (c *Cache) lookup(blk *cacheBlock, base int, tag uint64) (way int, hit bool) {
+	lines := blk.lines[base : base+c.cfg.Ways]
+	for w := range lines {
+		if lines[w].valid && lines[w].tag == tag {
+			return w, true
 		}
 	}
-	return set, -1, false
+	return -1, false
 }
 
-// fill brings addr's line into the cache, evicting (and writing back) a
-// victim if needed, and returns the allocated way plus the added latency.
-func (c *Cache) fill(addr uint64) (int, int, error) {
-	set := c.setOf(addr)
-	tag := c.tagOf(addr)
+// fill brings addr's line into set, evicting (and writing back) a victim
+// if needed, and returns the allocated way plus the added latency. blk
+// and base are writeSet's results for set.
+func (c *Cache) fill(blk *cacheBlock, base, set int, addr uint64) (int, int, error) {
+	ways := c.cfg.Ways
+	lines := blk.lines[base : base+ways]
 	way := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[c.way(set, w)] {
+	for w := range lines {
+		if !lines[w].valid {
 			way = w
 			break
 		}
 	}
 	lat := 0
 	if way < 0 {
-		way = c.plruVictim(set)
-		i := c.way(set, way)
-		if c.dirty[i] {
-			victimAddr := c.lineAddr(set, c.tags[i])
+		way = plruVictim(*c.plru(blk, set), ways)
+		i := set*ways + way
+		if lines[way].dirty {
+			victimAddr := c.lineAddr(set, lines[way].tag)
 			// A dirty faulty line escaping to the lower level can still
 			// influence the outcome: it is not a dead fault.
 			c.watchTouch(i, true)
-			if _, err := c.lower.writeLine(victimAddr, c.lineData(set, way)); err != nil {
+			if _, err := c.lower.writeLine(victimAddr, c.lineData(blk, base+way)); err != nil {
 				return 0, 0, err
 			}
 			c.Stats.Writebacks++
@@ -204,18 +274,16 @@ func (c *Cache) fill(addr uint64) (int, int, error) {
 			c.watchKill(i)
 		}
 	}
-	i := c.way(set, way)
+	i := set*ways + way
 	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
-	low, err := c.lower.readLine(lineAddr, c.lineData(set, way))
+	low, err := c.lower.readLine(lineAddr, c.lineData(blk, base+way))
 	if err != nil {
 		return 0, 0, err
 	}
 	lat += low
 	// The refill overwrites any pending fault in this frame.
 	c.watchKill(i)
-	c.tags[i] = tag
-	c.valid[i] = true
-	c.dirty[i] = false
+	lines[way] = cacheLine{tag: c.tagOf(addr), valid: true}
 	c.applyStuck(i)
 	return way, lat, nil
 }
@@ -223,11 +291,16 @@ func (c *Cache) fill(addr uint64) (int, int, error) {
 // Access performs a read or write of [addr, addr+len(buf)) which must lie
 // within a single cache line. It returns the access latency.
 func (c *Cache) Access(addr uint64, buf []byte, write bool) (int, error) {
-	if int(addr&uint64(c.cfg.LineBytes-1))+len(buf) > c.cfg.LineBytes {
+	lineOff := int(addr & uint64(c.cfg.LineBytes-1))
+	if lineOff+len(buf) > c.cfg.LineBytes {
 		return 0, fmt.Errorf("mem: cache %s access at %#x size %d crosses a line", c.cfg.Name, addr, len(buf))
 	}
-	set, way, hit := c.lookup(addr)
+	// writeSet, by hand: Access is the simulator's hottest call.
+	set := c.setOf(addr)
 	c.markSet(set)
+	blk := c.blocks.writable(set >> c.blockShift)
+	base := set * c.cfg.Ways & (c.blockLines - 1)
+	way, hit := c.lookup(blk, base, c.tagOf(addr))
 	lat := c.cfg.HitLat
 	if hit {
 		c.Stats.Hits++
@@ -235,23 +308,25 @@ func (c *Cache) Access(addr uint64, buf []byte, write bool) (int, error) {
 		c.Stats.Misses++
 		var extra int
 		var err error
-		way, extra, err = c.fill(addr)
+		way, extra, err = c.fill(blk, base, set, addr)
 		if err != nil {
 			return 0, err
 		}
 		lat += extra
 	}
-	c.plruTouch(set, way)
-	i := c.way(set, way)
-	off := uint64(c.way(set, way)*c.cfg.LineBytes) + addr&uint64(c.cfg.LineBytes-1)
+	p := c.plru(blk, set)
+	*p = plruTouch(*p, way, c.cfg.Ways)
+	i := set*c.cfg.Ways + way
+	off := (base+way)*c.cfg.LineBytes + lineOff
+	at := uint64(i*c.cfg.LineBytes + lineOff)
 	if write {
-		c.watchOverwrite(off, len(buf))
-		copy(c.data[off:], buf)
-		c.dirty[i] = true
+		c.watchOverwrite(at, len(buf))
+		copy(blk.data[off:], buf)
+		blk.lines[base+way].dirty = true
 		c.applyStuck(i)
 	} else {
-		c.watchRead(off, len(buf))
-		copy(buf, c.data[off:])
+		c.watchRead(at, len(buf))
+		copy(buf, blk.data[off:])
 	}
 	return lat, nil
 }
@@ -267,18 +342,22 @@ func (c *Cache) writeLine(addr uint64, data []byte) (int, error) {
 }
 
 // FlushTo writes every dirty line back to the lower level, leaving the
-// cache clean but still valid. Used when extracting the final program
-// output and when checkpointing to main memory.
+// cache clean but still valid. Nothing in the simulator calls it: program
+// output and final images are read coherently through Hierarchy.ReadBack
+// instead, which leaves every cache as it is.
 func (c *Cache) FlushTo() error {
 	for set := 0; set < c.sets; set++ {
+		blk, base := c.block(set)
+		if blk == nil {
+			continue
+		}
 		for w := 0; w < c.cfg.Ways; w++ {
-			i := c.way(set, w)
-			if c.valid[i] && c.dirty[i] {
-				c.markSet(set)
-				if _, err := c.lower.writeLine(c.lineAddr(set, c.tags[i]), c.lineData(set, w)); err != nil {
+			if l := blk.lines[base+w]; l.valid && l.dirty {
+				blk, base = c.writeSet(set)
+				if _, err := c.lower.writeLine(c.lineAddr(set, l.tag), c.lineData(blk, base+w)); err != nil {
 					return err
 				}
-				c.dirty[i] = false
+				blk.lines[base+w].dirty = false
 			}
 		}
 	}
@@ -288,24 +367,28 @@ func (c *Cache) FlushTo() error {
 // Peek reads bytes without affecting state or timing; ok is false when the
 // line is absent.
 func (c *Cache) Peek(addr uint64, buf []byte) bool {
-	set, way, hit := c.lookup(addr)
+	blk, base := c.block(c.setOf(addr))
+	if blk == nil {
+		return false
+	}
+	way, hit := c.lookup(blk, base, c.tagOf(addr))
 	if !hit {
 		return false
 	}
-	off := uint64(c.way(set, way)*c.cfg.LineBytes) + addr&uint64(c.cfg.LineBytes-1)
-	copy(buf, c.data[off:])
+	off := (base+way)*c.cfg.LineBytes + int(addr&uint64(c.cfg.LineBytes-1))
+	copy(buf, blk.data[off:])
 	return true
 }
 
-// Clone deep-copies the cache; the caller re-links lower. The clone is a
-// standalone cache: fork journaling does not carry over.
+// Clone returns an independent cache holding the current state, for
+// checkpointing; the caller re-links lower. The clone shares every block
+// with the receiver, and the receiver gives up ownership of its blocks,
+// so that it may keep running without writing a shared block in place
+// (see cowTable.clone). The clone is a standalone cache: fork journaling
+// does not carry over.
 func (c *Cache) Clone(lower level) *Cache {
 	n := *c
-	n.tags = append([]uint64(nil), c.tags...)
-	n.valid = append([]bool(nil), c.valid...)
-	n.dirty = append([]bool(nil), c.dirty...)
-	n.data = append([]byte(nil), c.data...)
-	n.plru = append([]uint16(nil), c.plru...)
+	n.blocks = c.blocks.clone()
 	n.stuck = append([]stuckBit(nil), c.stuck...)
 	n.lower = lower
 	n.golden = nil
@@ -315,16 +398,22 @@ func (c *Cache) Clone(lower level) *Cache {
 	return &n
 }
 
-// Fork deep-copies the cache like Clone but remembers c as the golden
-// checkpoint and journals every set the fork touches, so ResetToGolden
-// can roll the fork back in time proportional to the touched sets rather
-// than the cache size. The golden cache must not be mutated afterwards.
+// Fork returns a copy-on-write view of the cache that shares every block
+// with c and remembers c as the golden checkpoint. It journals every set
+// the fork writes, and ResetToGolden rolls the fork back in time
+// proportional to the blocks it wrote rather than the cache size. Fork
+// does not modify c, so many forks may be taken from one checkpoint
+// concurrently; the golden cache must not be mutated afterwards.
 func (c *Cache) Fork(lower level) *Cache {
-	n := c.Clone(lower)
+	n := *c
+	n.blocks = c.blocks.fork()
+	n.stuck = append([]stuckBit(nil), c.stuck...)
+	n.lower = lower
 	n.golden = c
 	n.setDirty = make([]bool, c.sets)
 	n.dirtySets = make([]int, 0, 64)
-	return n
+	n.setsRestored = 0
+	return &n
 }
 
 // markSet journals a set mutation on a forked cache.
@@ -336,26 +425,20 @@ func (c *Cache) markSet(set int) {
 }
 
 // ResetToGolden restores a forked cache to its golden checkpoint state:
-// journaled sets get their tags/valid/dirty/data/PLRU copied back, stats
+// the blocks of the journaled sets get their golden block pointers back
+// (no copying; the fork keeps its private buffers as spares), and stats
 // and fault state (stuck bits, watchpoint) are reset wholesale.
 func (c *Cache) ResetToGolden() {
 	g := c.golden
 	if g == nil {
 		return
 	}
-	ways, lb := c.cfg.Ways, c.cfg.LineBytes
 	for _, set := range c.dirtySets {
-		lo := set * ways
-		hi := lo + ways
-		copy(c.tags[lo:hi], g.tags[lo:hi])
-		copy(c.valid[lo:hi], g.valid[lo:hi])
-		copy(c.dirty[lo:hi], g.dirty[lo:hi])
-		copy(c.data[lo*lb:hi*lb], g.data[lo*lb:hi*lb])
-		c.plru[set] = g.plru[set]
 		c.setDirty[set] = false
 	}
 	c.setsRestored += uint64(len(c.dirtySets))
 	c.dirtySets = c.dirtySets[:0]
+	c.blocks.reset()
 	c.Stats = g.Stats
 	c.stuck = append(c.stuck[:0], g.stuck...)
 	c.watchArmed = g.watchArmed
@@ -363,8 +446,8 @@ func (c *Cache) ResetToGolden() {
 	c.watchState = g.watchState
 }
 
-// SetsRestored returns the cumulative number of sets ResetToGolden has
-// copied back on this fork.
+// SetsRestored returns the cumulative number of journaled sets
+// ResetToGolden has rolled back on this fork.
 func (c *Cache) SetsRestored() uint64 { return c.setsRestored }
 
 // --- core.Target implementation (data array bits) ---
@@ -373,23 +456,27 @@ func (c *Cache) SetsRestored() uint64 { return c.setsRestored }
 func (c *Cache) TargetName() string { return c.cfg.Name }
 
 // BitLen implements core.Target: all data-array bits.
-func (c *Cache) BitLen() uint64 { return uint64(len(c.data)) * 8 }
+func (c *Cache) BitLen() uint64 { return uint64(c.cfg.SizeBytes) * 8 }
 
 // Live implements core.Target: the line holding the bit is valid.
 func (c *Cache) Live(bit uint64) bool {
-	return c.valid[bit/8/uint64(c.cfg.LineBytes)]
+	line := int(bit / 8 / uint64(c.cfg.LineBytes))
+	blk := c.blocks.bufs[line/c.blockLines]
+	return blk != nil && blk.lines[line&(c.blockLines-1)].valid
 }
 
-// setOfByte maps a data-array byte index to its set (layout: line index
-// set*ways+way, each line LineBytes long).
-func (c *Cache) setOfByte(byteIdx uint64) int {
-	return int(byteIdx / uint64(c.cfg.LineBytes) / uint64(c.cfg.Ways))
+// writeByte journals a write to the cache-wide data byte at and returns
+// the data of its block, owned by this cache, and the byte's index in it.
+func (c *Cache) writeByte(at uint64) ([]byte, int) {
+	line := int(at / uint64(c.cfg.LineBytes))
+	blk, _ := c.writeSet(line / c.cfg.Ways)
+	return blk.data, int(at) & (c.blockLines*c.cfg.LineBytes - 1)
 }
 
 // Flip implements core.Target.
 func (c *Cache) Flip(bit uint64) {
-	c.markSet(c.setOfByte(bit / 8))
-	c.data[bit/8] ^= 1 << (bit % 8)
+	data, j := c.writeByte(bit / 8)
+	data[j] ^= 1 << (bit % 8)
 }
 
 // Stick implements core.Target: the bit is forced to v from now on.
@@ -416,8 +503,8 @@ func (c *Cache) applyStuck(lineIdx int) {
 }
 
 func (c *Cache) applyStuckByte(sb stuckBit) {
-	c.markSet(c.setOfByte(sb.byteIdx))
-	c.data[sb.byteIdx] = c.data[sb.byteIdx]&^sb.mask | sb.value
+	data, j := c.writeByte(sb.byteIdx)
+	data[j] = data[j]&^sb.mask | sb.value
 }
 
 // Watch implements core.Target.

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // memAdapter lets a Memory serve line fills/writebacks as the lowest level.
 type memAdapter struct{ m *Memory }
@@ -120,9 +123,11 @@ func (h *Hierarchy) ReadBack(addr uint64, buf []byte) error {
 	return nil
 }
 
-// Clone deep-copies the caches and clones the memory (whose pages stay
-// shared until either side writes them); the MMIO bus is shared (its
-// devices are cloned by the SoC layer, which re-maps them).
+// Clone returns an independent hierarchy holding the current state, for
+// checkpointing: the caches and the memory share every block and page
+// with the receiver until either side writes them, and the receiver gives
+// up ownership of its buffers so it may keep running. The MMIO bus is
+// shared (its devices are cloned by the SoC layer, which re-maps them).
 func (h *Hierarchy) Clone() *Hierarchy {
 	n := &Hierarchy{Mem: h.Mem.Clone(), Bus: h.Bus, MMIOBase: h.MMIOBase}
 	n.L2 = h.L2.Clone(memAdapter{n.Mem})
@@ -131,11 +136,12 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	return n
 }
 
-// Fork builds the copy-on-write counterpart of Clone: main memory becomes
-// a CoW view sharing the golden image, and the caches are forked with
-// dirty-set journaling so Reset rolls the whole hierarchy back to the
-// checkpoint in time proportional to what a run actually touched. The
-// receiver is the golden checkpoint and must not be mutated afterwards.
+// Fork builds the copy-on-write counterpart of Clone: main memory and
+// every cache become CoW views sharing the golden pages and blocks, and
+// the caches journal the sets they write, so Reset rolls the whole
+// hierarchy back to the checkpoint in time proportional to what a run
+// actually touched. The receiver is the golden checkpoint and must not be
+// mutated afterwards; Fork does not modify it.
 func (h *Hierarchy) Fork() *Hierarchy {
 	n := &Hierarchy{Mem: h.Mem.Fork(), Bus: h.Bus, MMIOBase: h.MMIOBase}
 	n.L2 = h.L2.Fork(memAdapter{n.Mem})
@@ -158,6 +164,25 @@ func (h *Hierarchy) ForkCounters() (pagesCopied, setsRestored uint64) {
 	pagesCopied = h.Mem.CoW().PagesCopied
 	setsRestored = h.L1I.SetsRestored() + h.L1D.SetsRestored() + h.L2.SetsRestored()
 	return
+}
+
+// CacheFootprint returns the bytes of cache blocks the hierarchies hold,
+// counting a block that several of them share once: what a set of
+// snapshots, such as a checkpoint ladder, costs in cache state.
+func CacheFootprint(hs ...*Hierarchy) int {
+	seen := map[*cacheBlock]bool{}
+	n := 0
+	for _, h := range hs {
+		for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+			for _, b := range c.blocks.bufs {
+				if b != nil && !seen[b] {
+					seen[b] = true
+					n += len(b.data) + len(b.lines)*int(unsafe.Sizeof(cacheLine{})) + len(b.plru)*2
+				}
+			}
+		}
+	}
+	return n
 }
 
 // SetBus replaces the MMIO bus (used after cloning SoC devices).

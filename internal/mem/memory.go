@@ -48,29 +48,26 @@ type CoWStats struct {
 }
 
 // Memory is the backing store for a contiguous physical range, held as a
-// table of 4 KiB pages. A nil page reads as zeros, so a fresh memory
-// allocates only the pages that get written. Clone and Fork copy only the
-// page table and share every page buffer; the first write to a page a
-// memory does not own materializes a private copy, so no memory ever
-// writes a buffer another one can see.
+// copy-on-write table of 4 KiB pages (see cowTable). A nil page reads as
+// zeros, so a fresh memory allocates only the pages that get written.
+// Clone and Fork copy only the page table and share every page buffer.
 type Memory struct {
 	base    uint64
 	size    int
 	latency int
 
-	pages []*page
-	// owned[p] reports that pages[p] is private to this memory and may be
-	// written in place.
-	owned []bool
+	pages  cowTable[page]
+	resets uint64
+}
 
-	// Fork state (golden != nil): golden is the page table Reset restores,
-	// dirty lists the pages materialized since the last Reset, and
-	// spare[p] is the private buffer page p last materialized into, which
-	// Reset keeps so re-dirtying the page allocates nothing.
-	golden []*page
-	dirty  []int
-	spare  []*page
-	cow    CoWStats
+func newPage() *page { return new(page) }
+
+func fillPage(dst, src *page) {
+	if src != nil {
+		*dst = *src
+	} else {
+		*dst = page{}
+	}
 }
 
 // NewMemory creates size bytes of zeroed memory starting at base with the
@@ -78,7 +75,7 @@ type Memory struct {
 func NewMemory(base uint64, size int, latency int) *Memory {
 	np := (size + pageSize - 1) / pageSize
 	return &Memory{base: base, size: size, latency: latency,
-		pages: make([]*page, np), owned: make([]bool, np)}
+		pages: newCowTable(np, newPage, fillPage)}
 }
 
 // Base returns the first mapped address.
@@ -104,7 +101,7 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
 		p, po := off>>pageShift, off&(pageSize-1)
 		n := min(pageSize-po, len(buf))
-		if pg := m.pages[p]; pg != nil {
+		if pg := m.pages.bufs[p]; pg != nil {
 			copy(buf[:n], pg[po:])
 		} else {
 			clear(buf[:n])
@@ -124,37 +121,11 @@ func (m *Memory) Write(addr uint64, data []byte) error {
 	for len(data) > 0 {
 		p, po := off>>pageShift, off&(pageSize-1)
 		n := min(pageSize-po, len(data))
-		if !m.owned[p] {
-			m.materialize(p)
-		}
-		copy(m.pages[p][po:], data[:n])
+		copy(m.pages.writable(p)[po:], data[:n])
 		off += n
 		data = data[n:]
 	}
 	return nil
-}
-
-// materialize gives page p a private copy of its current bytes, reusing a
-// fork's spare buffer when it has one.
-func (m *Memory) materialize(p int) {
-	var buf *page
-	if m.golden != nil {
-		if m.spare[p] == nil {
-			m.spare[p] = new(page)
-		}
-		buf = m.spare[p]
-		m.dirty = append(m.dirty, p)
-		m.cow.PagesCopied++
-	} else {
-		buf = new(page)
-	}
-	if src := m.pages[p]; src != nil {
-		*buf = *src
-	} else {
-		*buf = page{}
-	}
-	m.pages[p] = buf
-	m.owned[p] = true
 }
 
 // Fork returns a copy-on-write view of the memory that Reset rolls back
@@ -163,36 +134,24 @@ func (m *Memory) materialize(p int) {
 // may be taken from one image concurrently. Each fork must be used by a
 // single goroutine.
 func (m *Memory) Fork() *Memory {
-	np := len(m.pages)
-	return &Memory{
-		base:    m.base,
-		size:    m.size,
-		latency: m.latency,
-		pages:   append([]*page(nil), m.pages...),
-		owned:   make([]bool, np),
-		golden:  append([]*page(nil), m.pages...),
-		spare:   make([]*page, np),
-	}
+	return &Memory{base: m.base, size: m.size, latency: m.latency, pages: m.pages.fork()}
 }
 
 // Reset rolls a forked memory back to the golden image by restoring the
 // golden page pointers of every dirty page: O(dirty pages), no allocation,
-// no copying. Memories that are not forks ignore it.
+// no copying. The private buffers stay with the fork as spares. Memories
+// that are not forks ignore it.
 func (m *Memory) Reset() {
-	if m.golden == nil {
-		return
+	if m.pages.reset() {
+		m.resets++
 	}
-	for _, p := range m.dirty {
-		m.pages[p] = m.golden[p]
-		m.owned[p] = false
-	}
-	m.dirty = m.dirty[:0]
-	m.cow.Resets++
 }
 
 // CoW returns the fork's copy-on-write counters (zero for memories that
 // are not forks).
-func (m *Memory) CoW() CoWStats { return m.cow }
+func (m *Memory) CoW() CoWStats {
+	return CoWStats{PagesCopied: m.pages.copies, Resets: m.resets}
+}
 
 // Clone returns an independent memory holding the current image, for
 // checkpointing; it is not a fork. The clone shares every page buffer
@@ -202,21 +161,7 @@ func (m *Memory) CoW() CoWStats { return m.cow }
 // the receiver owns no pages (as with every Clone result and every
 // unwritten Fork), so such snapshots may be cloned concurrently.
 func (m *Memory) Clone() *Memory {
-	for p, own := range m.owned {
-		if own {
-			m.owned[p] = false
-			if m.golden != nil {
-				m.spare[p] = nil // now shared with the clone
-			}
-		}
-	}
-	return &Memory{
-		base:    m.base,
-		size:    m.size,
-		latency: m.latency,
-		pages:   append([]*page(nil), m.pages...),
-		owned:   make([]bool, len(m.pages)),
-	}
+	return &Memory{base: m.base, size: m.size, latency: m.latency, pages: m.pages.clone()}
 }
 
 // Handler is a device mapped on the MMIO bus.

@@ -226,8 +226,11 @@ func (s *System) Output() []byte {
 	return buf
 }
 
-// Clone deep-copies the system (microarchitectural and architectural
-// state), the checkpoint mechanism campaigns fork faulty runs from.
+// Clone returns an independent copy of the system (microarchitectural and
+// architectural state), the checkpoint mechanism campaigns fork faulty
+// runs from. The CPU core is copied; main memory and the caches share
+// every page and cache block with s until either side writes them, and s
+// gives up ownership of its buffers so it may keep running.
 func (s *System) Clone() *System {
 	h := s.Hier.Clone()
 	n := &System{
@@ -249,8 +252,8 @@ func (s *System) Clone() *System {
 }
 
 // Fork creates a copy-on-write checkpoint fork of the system: main memory
-// pages are shared read-only with s until written, caches journal the
-// sets they touch, and the CPU is deep-copied once. A fork is meant to be
+// pages and cache blocks are shared read-only with s until written, the
+// caches journal the sets they touch, and the CPU is copied once. A fork is meant to be
 // reused across faulty runs via Reset, which rolls it back to s in time
 // proportional to the state the previous run dirtied — the §IV-B forking
 // speedup. The receiver becomes the frozen golden snapshot and must not
@@ -283,8 +286,9 @@ func (s *System) Fork() *System {
 func (s *System) Forked() bool { return s.golden != nil }
 
 // Reset rolls a forked system back to its golden snapshot, reusing the
-// fork's storage: dirty memory pages are dropped, journaled cache sets
-// restored, CPU state copied back. After Reset the system is
+// fork's storage: memory pages and cache blocks the run wrote get their
+// golden buffers back (the private ones stay as spares), and CPU state is
+// copied back. After Reset the system is
 // indistinguishable from a fresh Clone of the snapshot.
 func (s *System) Reset() {
 	g := s.golden

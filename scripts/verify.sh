@@ -85,11 +85,13 @@ go test -race -run 'TestAccelCampaignWorkerInvariance|TestStandaloneForkResetEqu
 go test -race -run 'TestAccelCampaignEquivalenceStuckAt0|TestAccelMaskPopulationWindowIndependentOfSchedule' ./internal/accel
 go test -race -run 'TestAccelTracingDoesNotChangeVerdicts|TestAccelForkStatsUnderParallelWorkers' ./internal/accel
 
-echo "== race: paged memory shared between goroutines =="
-# Checkpoints, rungs and forks share page buffers: a snapshot forked and
-# cloned from several goroutines while its source keeps running must
-# never see a write, and no write may race with a read of a shared page.
+echo "== race: paged memory and cache blocks shared between goroutines =="
+# Checkpoints, rungs and forks share page and cache-block buffers: a
+# snapshot forked, cloned, accessed and reset from several goroutines
+# while its source keeps running must never see a write, and no write may
+# race with a read of a shared page or block.
 go test -race -count=3 -run '^TestMemorySnapshotSharedAcrossGoroutines$' ./internal/mem
+go test -race -count=3 -run '^TestHierarchySnapshotSharedAcrossGoroutines$' ./internal/mem
 
 echo "== race: checkpoint-ladder dispatch equivalence =="
 # The ladder's rung-sorted dispatch and per-rung scratch systems are the
@@ -313,6 +315,7 @@ go test -run '^$' -fuzz '^FuzzDecodeWindow$' -fuzztime=30s ./internal/isa
 go test -run '^$' -fuzz '^FuzzEngineSchedule$' -fuzztime=30s ./internal/accel
 go test -run '^$' -fuzz '^FuzzConfigParse$' -fuzztime=30s ./internal/config
 go test -run '^$' -fuzz '^FuzzMemoryPaging$' -fuzztime=30s ./internal/mem
+go test -run '^$' -fuzz '^FuzzCachePaging$' -fuzztime=30s ./internal/mem
 
 echo "== coverage gate: internal/server >= 80% =="
 cov="$(go test -cover ./internal/server | awk '{for (i=1;i<=NF;i++) if ($i ~ /^[0-9.]+%$/) print substr($i, 1, length($i)-1)}')"
