@@ -91,6 +91,8 @@ func TestValidationExitsTwo(t *testing.T) {
 		{"campaign bad model", []string{"campaign", "-model", "intermittent", "-faults", "2"}, "unknown fault model"},
 		{"campaign zero faults", []string{"campaign", "-faults", "0"}, "fault count"},
 		{"accel bad component", []string{"accel", "-design", "gemm", "-component", "MATRIX9", "-faults", "2"}, "no component"},
+		{"accel gemm multipliers on fft", []string{"accel", "-design", "fft", "-component", "REAL", "-gemm-multipliers", "4", "-faults", "2"}, "gemm multipliers apply only to design gemm"},
+		{"accel negative gemm multipliers", []string{"accel", "-gemm-multipliers", "-3", "-faults", "2"}, "gemm multipliers must be non-negative"},
 		{"sweep empty grid", []string{"sweep", "-faults", "2"}, "empty grid"},
 		{"sweep cpu grid without targets", []string{"sweep", "-isas", "riscv", "-faults", "2"}, "needs at least one ISA and one target"},
 		{"sweep zero faults", []string{"sweep", "-isas", "riscv", "-targets", "prf", "-faults", "0"}, "fault count must be positive"},

@@ -6,6 +6,7 @@ package marvel_test
 // reach through the root package.
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -73,6 +74,32 @@ func TestFacadeTargetValidation(t *testing.T) {
 		})
 		if err == nil {
 			t.Errorf("target %q: accepted, want error", tgt)
+		}
+	}
+}
+
+// TestFacadeAccelGemmValidation: a GemmMultipliers override the campaign
+// could not apply — negative, or on a design other than gemm — is
+// rejected by Validate and RunAccelCampaign alike instead of running the
+// stock design.
+func TestFacadeAccelGemmValidation(t *testing.T) {
+	for _, o := range []marvel.AccelOptions{
+		{Design: "fft", Component: "REAL", Faults: 1, GemmMultipliers: 4},
+		{Design: "gemm", Component: "MATRIX1", Faults: 1, GemmMultipliers: -3},
+	} {
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "gemm multipliers") {
+			t.Errorf("%s with %d multipliers: Validate = %v, want a gemm multipliers error", o.Design, o.GemmMultipliers, err)
+		}
+		if _, err := marvel.RunAccelCampaign(o); err == nil {
+			t.Errorf("%s with %d multipliers: RunAccelCampaign accepted", o.Design, o.GemmMultipliers)
+		}
+	}
+	for _, o := range []marvel.AccelOptions{
+		{Design: "fft", Component: "REAL", Faults: 1},
+		{Design: "gemm", Component: "MATRIX1", Faults: 1, GemmMultipliers: 4},
+	} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%s with %d multipliers: Validate = %v, want nil", o.Design, o.GemmMultipliers, err)
 		}
 	}
 }

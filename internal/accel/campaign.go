@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 
 	"marvel/internal/classify"
 	"marvel/internal/core"
@@ -66,63 +65,35 @@ type CampaignGolden struct {
 
 	base *Standalone
 
-	// Checkpoint ladders, built lazily and memoized per (rungs, window)
-	// pair — the injection window varies with WindowOverride and rung
-	// placement follows it. Guarded by mu; rung snapshots are frozen once
-	// built and shared read-only by forks.
-	mu      sync.Mutex
-	ladders map[ladderKey][]accelRung
+	// ladders memoizes the checkpoint ladders built over base, one per
+	// (rungs, window) pair: the injection window varies with
+	// WindowOverride and rung placement follows it.
+	ladders dispatch.LadderMemo[*Standalone]
 }
 
-type ladderKey struct {
-	k      int
-	window uint64
-}
-
-// accelRung is one ladder checkpoint: a frozen harness snapshot at a
-// cluster cycle inside the injection window (cycle 0 = the pristine
-// not-yet-started base).
-type accelRung struct {
-	sys   *Standalone
-	cycle uint64
-}
-
-// ladder returns the checkpoint ladder for k mid-window rungs over the
-// given injection window, building it on first use by replaying the
-// fault-free task once and snapshotting at evenly spaced cycles. The
-// replay stops at task completion: faults drawn past it (WindowOverride
-// beyond a fast design's duration) are architecturally masked and need no
-// deeper rung. Rung 0 is always the pristine base.
-func (g *CampaignGolden) ladder(k int, window uint64) []accelRung {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	key := ladderKey{k: k, window: window}
-	if rs, ok := g.ladders[key]; ok {
-		return rs
+// ladder describes the golden's checkpoint ladder over an injection
+// window to the dispatch kernel: rung 0 is the pristine base (cycle 0),
+// and the rungs are snapshots of one started fork that replays the
+// fault-free task. The replay stops at task completion: faults drawn past
+// it (WindowOverride beyond a fast design's duration) are architecturally
+// masked and need no deeper rung.
+func (g *CampaignGolden) ladder(window uint64) dispatch.Ladder[*Standalone] {
+	return dispatch.Ladder[*Standalone]{
+		Base: g.base,
+		Hi:   window,
+		Walk: func() (func(uint64) (uint64, bool), func() *Standalone) {
+			w := g.base.Fork()
+			w.Cluster.Start()
+			return func(target uint64) (uint64, bool) {
+				for !w.Cluster.Done() && w.Cluster.Cycle() < target {
+					w.Cluster.Tick()
+				}
+				return w.Cluster.Cycle(), w.Cluster.Done()
+			}, w.snapshot
+		},
+		Memo:           &g.ladders,
+		StrictlyBefore: true,
 	}
-	rungs := []accelRung{{sys: g.base, cycle: 0}}
-	if k > 0 {
-		walker := g.base.Fork()
-		walker.Cluster.Start()
-		for i := 1; i <= k; i++ {
-			target := uint64(i) * window / uint64(k+1)
-			if target <= rungs[len(rungs)-1].cycle {
-				continue
-			}
-			for !walker.Cluster.Done() && walker.Cluster.Cycle() < target {
-				walker.Cluster.Tick()
-			}
-			if walker.Cluster.Done() {
-				break
-			}
-			rungs = append(rungs, accelRung{sys: walker.snapshot(), cycle: walker.Cluster.Cycle()})
-		}
-	}
-	if g.ladders == nil {
-		g.ladders = map[ladderKey][]accelRung{}
-	}
-	g.ladders[key] = rungs
-	return rungs
 }
 
 // PrepareGolden executes the fault-free accelerator task once and builds
@@ -211,35 +182,11 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 		faults[i] = in.fault(cfg, i)
 	}
 
-	// Checkpoint ladder: transient runs fork from the deepest rung strictly
-	// before their injection cycle (flips apply inside Tick, so a rung at
-	// exactly the injection cycle would skip the application tick).
-	// Permanent models keep the pristine base — stuck-ats must corrupt
-	// DMA-in.
-	rungs := []accelRung{{sys: g.base, cycle: 0}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
-		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		rungs = g.ladder(cfg.LadderRungs, in.window)
-		sp.End()
-	}
-	rungOf := make([]int, budget)
-	replay := make([]uint64, budget)
-	for i, f := range faults {
-		for ri := 1; ri < len(rungs) && rungs[ri].cycle < f.Cycle; ri++ {
-			rungOf[i] = ri
-		}
-		if from := rungs[rungOf[i]].cycle; !f.Model.Permanent() && f.Cycle > from {
-			replay[i] = f.Cycle - from
-		}
-	}
-
 	verdicts, sum, err := dispatch.Run(dispatch.Plan[*Standalone]{
 		Sizing: cfg.Sizing,
 		Bits:   in.bits,
-		Rungs:  len(rungs) - 1,
-		Fork:   func(r int) *Standalone { return rungs[r].sys.Fork() },
-		RungOf: rungOf,
-		Replay: replay,
+		Ladder: g.ladder(in.window),
+		Inject: func(i int) (uint64, bool) { return faults[i].Cycle, !faults[i].Model.Permanent() },
 		Run: func(s *Standalone, i int, lane *obs.Lane) (classify.Verdict, error) {
 			return runFaulty(s, in.bankIdx, faults[i], in.cycleBudget, g.Output, cfg.Trace, lane, int64(i)), nil
 		},

@@ -60,14 +60,13 @@ func NewStandalone(d *Design, task Task) (*Standalone, error) {
 // previous run dirtied. The receiver becomes the frozen golden snapshot
 // and must not be run afterwards; each fork belongs to a single goroutine,
 // but many forks may share one snapshot.
-func (s *Standalone) Fork() *Standalone {
-	h := s.Host.Fork()
-	return &Standalone{
-		Host:    h,
-		Cluster: s.Cluster.Clone(MemHostPort{h}),
-		task:    s.task,
-		golden:  s,
-	}
+func (s *Standalone) Fork() *Standalone { return s.copyOver(s.Host.Fork(), s) }
+
+// copyOver builds the copy Fork and snapshot return: a deep copy of s's
+// cluster over the host memory h, rolling back to golden on Reset (nil
+// for a snapshot).
+func (s *Standalone) copyOver(h *mem.Memory, golden *Standalone) *Standalone {
+	return &Standalone{Host: h, Cluster: s.Cluster.Clone(MemHostPort{h}), task: s.task, golden: golden}
 }
 
 // Forked reports whether the harness was created by Fork (and so supports
@@ -79,10 +78,7 @@ func (s *Standalone) Forked() bool { return s.golden != nil }
 // ladder rung). The host memory is cloned, sharing its pages until either
 // side writes them, and the cluster is deep-copied, so the receiver may
 // keep running afterwards.
-func (s *Standalone) snapshot() *Standalone {
-	h := s.Host.Clone()
-	return &Standalone{Host: h, Cluster: s.Cluster.Clone(MemHostPort{h}), task: s.task}
-}
+func (s *Standalone) snapshot() *Standalone { return s.copyOver(s.Host.Clone(), nil) }
 
 // Reset rolls a forked harness back to its golden snapshot, reusing the
 // fork's storage: dirty host-memory pages are dropped and the cluster is

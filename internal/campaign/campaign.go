@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"marvel/internal/classify"
 	"marvel/internal/config"
@@ -142,87 +141,34 @@ type Result struct {
 type Golden struct {
 	Info GoldenInfo
 
-	base          *soc.System
-	trace         *trace.Golden
-	commitsAtCkpt int
+	base  *soc.System
+	trace *trace.Golden
 
-	// Checkpoint ladders, built lazily per requested depth and memoized
-	// (one Golden may back concurrent campaigns with different
-	// Config.LadderRungs). Guarded by mu; the rung snapshots themselves
-	// are frozen once built and shared read-only by forks.
-	mu      sync.Mutex
-	ladders map[int][]rung
+	// ladders memoizes the checkpoint ladders built over base, one per
+	// requested depth (one Golden may back concurrent campaigns with
+	// different Config.LadderRungs).
+	ladders dispatch.LadderMemo[*soc.System]
 }
 
-// rung is one checkpoint of the ladder: a frozen system snapshot taken at
-// a cycle inside the injection window, plus the golden commit count at
-// that point (the HVF comparator of a run forked here compares against
-// the golden trace from commits onward).
-type rung struct {
-	sys     *soc.System
-	cycle   uint64
-	commits int
-}
-
-// ladder returns the checkpoint ladder for k mid-window rungs, building
-// and memoizing it on first use. Rung 0 is always the window-start
-// checkpoint; rungs 1..k are clones taken while replaying the fault-free
-// window once, at evenly spaced target cycles. A rung shares every memory
-// page and cache block the walker did not write since the previous rung,
-// so it costs only the pages and blocks the walker touched in between. The golden
-// prefix is deterministic, so a run forked from rung r is bit-identical to
-// a window-start fork stepped to the same cycle; rungs record their
-// actual snapshot cycle so selection stays sound even if a step advances
-// the clock by more than one.
-func (g *Golden) ladder(k int) []rung {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if rs, ok := g.ladders[k]; ok {
-		return rs
+// ladder describes the golden's checkpoint ladder to the dispatch kernel:
+// rung 0 is the window-start checkpoint, and the rungs are clones of one
+// walker that replays the window. Clone nils every hook, so a rung
+// carries no walker state, and it shares every memory page and cache
+// block the walker did not write since the previous rung.
+func (g *Golden) ladder() dispatch.Ladder[*soc.System] {
+	return dispatch.Ladder[*soc.System]{
+		Base: g.base,
+		Lo:   g.base.CPU.Cycle(),
+		Hi:   g.Info.WindowHi,
+		Walk: func() (func(uint64) (uint64, bool), func() *soc.System) {
+			w := g.base.Clone()
+			return func(target uint64) (uint64, bool) {
+				w.RunUntilCycle(target)
+				return w.CPU.Cycle(), w.CPU.Done()
+			}, w.Clone
+		},
+		Memo: &g.ladders,
 	}
-	rungs := []rung{{sys: g.base, cycle: g.base.CPU.Cycle(), commits: g.commitsAtCkpt}}
-	if k > 0 && g.Info.WindowHi > rungs[0].cycle {
-		walker := g.base.Clone()
-		commits := g.commitsAtCkpt
-		walker.CPU.CommitHook = func(cpu.CommitRec) { commits++ }
-		lo, hi := rungs[0].cycle, g.Info.WindowHi
-		for i := 1; i <= k; i++ {
-			target := lo + uint64(i)*(hi-lo)/uint64(k+1)
-			if target <= rungs[len(rungs)-1].cycle {
-				continue
-			}
-			walker.RunUntilCycle(target)
-			if walker.CPU.Done() {
-				break
-			}
-			// Clone nils every hook, so the snapshot carries no walker state.
-			rungs = append(rungs, rung{sys: walker.Clone(), cycle: walker.CPU.Cycle(), commits: commits})
-		}
-	}
-	if g.ladders == nil {
-		g.ladders = map[int][]rung{}
-	}
-	g.ladders[k] = rungs
-	return rungs
-}
-
-// rungFor returns the index of the deepest rung usable for mask: the
-// latest rung at or before the mask's first transient injection cycle.
-// Masks carrying any permanent fault pin to rung 0 — stuck-at bits must
-// hold from the window start, exactly where a single-checkpoint campaign
-// applies them.
-func rungFor(rungs []rung, mask core.Mask) int {
-	first, ok := firstTransientCycle(mask)
-	if !ok {
-		return 0
-	}
-	r := 0
-	for i := 1; i < len(rungs); i++ {
-		if rungs[i].cycle <= first {
-			r = i
-		}
-	}
-	return r
 }
 
 // firstTransientCycle returns the earliest transient injection cycle of
@@ -250,12 +196,12 @@ func PrepareGolden(cfg Config) (*Golden, error) {
 		return nil, fmt.Errorf("campaign: no workload image")
 	}
 	sp := cfg.Profile.NewLane("golden").Begin(obs.PhaseGolden)
-	info, base, goldenTrace, commitsAtCkpt, err := runGolden(cfg)
+	info, base, goldenTrace, err := runGolden(cfg)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return &Golden{Info: *info, base: base, trace: goldenTrace, commitsAtCkpt: commitsAtCkpt}, nil
+	return &Golden{Info: *info, base: base, trace: goldenTrace}, nil
 }
 
 // Run executes a campaign: the golden phase followed by the injection
@@ -279,58 +225,23 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("campaign: no workload image")
 	}
-	golden, base := &g.Info, g.base
+	golden := &g.Info
 
 	// Generate the whole budget up front: mask i depends only on (Seed, i,
 	// target geometry), so the population is identical whether or not the
 	// campaign later stops early.
-	masks, bits, err := buildMasks(cfg, base, golden)
+	masks, bits, err := buildMasks(cfg, g.base, golden)
 	if err != nil {
 		return nil, err
 	}
 
-	// The checkpoint ladder: rung 0 is the window-start checkpoint;
-	// mid-window rungs (when enabled and the model has transients) let a
-	// run fork closer to its injection cycle. rungOf[i] is the rung mask i
-	// forks from, replay[i] the cycles it replays before its first flip.
-	rungs := []rung{{sys: base, cycle: base.CPU.Cycle(), commits: g.commitsAtCkpt}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
-		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		rungs = g.ladder(cfg.LadderRungs)
-		sp.End()
-	}
-	rungOf := make([]int, len(masks))
-	replay := make([]uint64, len(masks))
-	for i, m := range masks {
-		r := rungFor(rungs, m)
-		rungOf[i] = r
-		if first, ok := firstTransientCycle(m); ok && first > rungs[r].cycle {
-			replay[i] = first - rungs[r].cycle
-		}
-	}
-
-	// Per-rung golden-trace views for the HVF comparator: a run forked at
-	// rung r compares against the golden commits from that rung onward and
-	// reports divergence indices offset back to the window-start view, so
-	// DivergeCommit is identical whichever rung served the run.
-	subTraces := make([]*trace.Golden, len(rungs))
-	if cfg.HVF {
-		for ri, r := range rungs {
-			subTraces[ri] = g.trace.Slice(r.commits)
-		}
-	}
-	armCycle := rungs[0].cycle
-
 	verdicts, sum, err := dispatch.Run(dispatch.Plan[*soc.System]{
 		Sizing: cfg.Sizing,
 		Bits:   bits,
-		Rungs:  len(rungs) - 1,
-		Fork:   func(r int) *soc.System { return rungs[r].sys.Fork() },
-		RungOf: rungOf,
-		Replay: replay,
+		Ladder: g.ladder(),
+		Inject: func(i int) (uint64, bool) { return firstTransientCycle(masks[i]) },
 		Run: func(s *soc.System, i int, lane *obs.Lane) (classify.Verdict, error) {
-			r := rungOf[i]
-			return runOne(cfg, s, golden, subTraces[r], rungs[r].commits-g.commitsAtCkpt, armCycle, masks[i], lane)
+			return runOne(cfg, s, g, masks[i], lane)
 		},
 		OnVerdict: cfg.OnVerdict,
 		Profile:   cfg.Profile,
@@ -366,27 +277,22 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 }
 
 // runGolden performs the fault-free run, returning the reference info, the
-// checkpoint snapshot faulty runs fork from, the golden commit trace, and
-// the commit index at the checkpoint.
-func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, int, error) {
+// checkpoint snapshot faulty runs fork from and the golden commit trace.
+func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, error) {
 	sys, err := soc.New(cfg.Image, cfg.Preset.CPU, cfg.Preset.Hier, cfg.Preset.MemLatency)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, err
 	}
 	rec := trace.NewRecorder()
 	hook := rec.Hook()
 	sys.CPU.CommitHook = hook
 
 	base := sys.Clone() // fallback snapshot at cycle 0
-	commitsAtCkpt := 0
-	sys.CheckpointHook = func(cycle uint64) {
-		base = sys.Clone()
-		commitsAtCkpt = rec.Len()
-	}
+	sys.CheckpointHook = func(cycle uint64) { base = sys.Clone() }
 
 	res := sys.Run(500_000_000)
 	if res.Status != soc.RunCompleted {
-		return nil, nil, nil, 0, fmt.Errorf("campaign: golden run %v (trap %v)", res.Status, res.Trap)
+		return nil, nil, nil, fmt.Errorf("campaign: golden run %v (trap %v)", res.Status, res.Trap)
 	}
 	lo, hi, ok := sys.HasWindow()
 	if !ok {
@@ -400,7 +306,7 @@ func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, int, error)
 		Output:   res.Output,
 		Stats:    res.Stats,
 	}
-	return g, base, rec.Golden(), commitsAtCkpt, nil
+	return g, base, rec.Golden(), nil
 }
 
 // maskSpace resolves the campaign's fault population from cfg alone
@@ -442,15 +348,16 @@ func buildMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, 
 }
 
 // runOne drives one faulty simulation on s — a system already positioned
-// at a checkpoint snapshot (a fresh clone, a fresh fork, or a reset
+// at a checkpoint snapshot of g (a fresh clone, a fresh fork, or a reset
 // scratch fork of any ladder rung; all are state-identical to a
 // window-start fork simulated to the same cycle) — applies the mask, runs
-// to completion (or early termination) and classifies. goldenTrace is the
-// golden commit trace from the fork point onward and commitOffset the
-// fork point's commit distance from the window-start checkpoint, so HVF
-// divergence indices are reported in window-start coordinates regardless
-// of which rung served the run; armCycle is the window-start checkpoint
-// cycle, stamped on arming events so rung restores narrate identically.
+// to completion (or early termination) and classifies. The HVF
+// comparator checks the golden commit trace from the fork point onward:
+// s's committed micro-op count is the golden's commit count there, so
+// divergence indices are offset by its distance from the window-start
+// checkpoint and reported in window-start coordinates regardless of which
+// rung served the run. Arming events are stamped with the window-start
+// checkpoint cycle, so rung restores narrate identically.
 //
 // When cfg.Trace is armed, runOne additionally narrates the fault's
 // lifecycle: arming, application, first corrupted read / overwrite death
@@ -463,8 +370,9 @@ func buildMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, 
 // bit-identically to untraced ones.
 // lane, when non-nil, receives replay/faulty/classify spans for
 // wall-clock attribution; a nil lane (profiling off) costs nothing.
-func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Golden, commitOffset int, armCycle uint64, mask core.Mask, lane *obs.Lane) (classify.Verdict, error) {
+func runOne(cfg Config, s *soc.System, g *Golden, mask core.Mask, lane *obs.Lane) (classify.Verdict, error) {
 	tr := cfg.Trace
+	golden := &g.Info
 	targets := map[string]core.Target{}
 	targetFor := func(name string) (core.Target, error) {
 		if t, ok := targets[name]; ok {
@@ -487,8 +395,10 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 	}
 
 	var comp *trace.Comparator
-	if cfg.HVF && goldenTrace != nil {
-		comp = trace.NewComparator(goldenTrace)
+	forkCommits := s.CPU.Stats.Uops
+	commitOffset := int(forkCommits - g.base.CPU.Stats.Uops)
+	if cfg.HVF {
+		comp = trace.NewComparator(g.trace.Slice(int(forkCommits)))
 		if tr == nil {
 			s.CPU.CommitHook = comp.Hook()
 		} else {
@@ -522,7 +432,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 			if !f.Model.Permanent() {
 				detail = fmt.Sprintf("%s at cycle %d", f.Model, f.Cycle)
 			}
-			tr.Emit(obs.Event{Cycle: armCycle, Kind: obs.KindFaultArmed, Target: f.Target, Bit: f.Bit, Detail: detail})
+			tr.Emit(obs.Event{Cycle: g.base.CPU.Cycle(), Kind: obs.KindFaultArmed, Target: f.Target, Bit: f.Bit, Detail: detail})
 		}
 	}
 

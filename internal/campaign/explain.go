@@ -6,7 +6,6 @@ import (
 	"marvel/internal/classify"
 	"marvel/internal/core"
 	"marvel/internal/obs"
-	"marvel/internal/trace"
 )
 
 // Explanation is the result of re-running one campaign fault with full
@@ -50,13 +49,7 @@ func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 	// original campaign ran AVF-only; the HVF view is an overlay on the
 	// same run and does not perturb the AVF verdict.
 	cfg.HVF = true
-	var subTrace *trace.Golden
-	if g.trace != nil {
-		subTrace = g.trace.Slice(g.commitsAtCkpt)
-	}
-
-	s := g.base.Fork()
-	v, err := runOne(cfg, s, &g.Info, subTrace, 0, g.base.CPU.Cycle(), mask, nil)
+	v, err := runOne(cfg, g.base.Fork(), g, mask, nil)
 	if err != nil {
 		return nil, err
 	}

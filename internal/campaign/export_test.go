@@ -4,7 +4,6 @@ import (
 	"marvel/internal/core"
 	"marvel/internal/dispatch"
 	"marvel/internal/metrics"
-	"marvel/internal/trace"
 )
 
 // RunCloneOracle is the reference the fork-equivalence suite holds the
@@ -23,10 +22,6 @@ func RunCloneOracle(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var goldenTrace *trace.Golden
-	if cfg.HVF {
-		goldenTrace = g.trace.Slice(g.commitsAtCkpt)
-	}
 	z := cfg.Z()
 	res := &Result{
 		Model:      cfg.Model,
@@ -40,7 +35,7 @@ func RunCloneOracle(cfg Config) (*Result, error) {
 		},
 	}
 	for _, m := range masks {
-		v, err := runOne(cfg, g.base.Clone(), &g.Info, goldenTrace, 0, g.base.CPU.Cycle(), m, nil)
+		v, err := runOne(cfg, g.base.Clone(), g, m, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,20 +1,23 @@
 package campaign
 
-// White-box tests for the checkpoint ladder: rung placement inside the
-// injection window, rung selection per mask, and a run forked from a
-// mid-window rung applying a rung-straddling multi-fault mask in cycle
-// order, bit-identically to a window-start fork.
+// White-box tests for the CPU's checkpoint ladder: rung placement inside
+// the injection window, rung commit counts, each mask's first injection
+// cycle, and a run forked from a mid-window rung applying a
+// rung-straddling multi-fault mask in cycle order, bit-identically to a
+// window-start fork.
 
 import (
 	"testing"
 
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/cpu"
 	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/mem"
 	"marvel/internal/obs"
 	"marvel/internal/program"
+	"marvel/internal/soc"
 	"marvel/internal/workloads"
 )
 
@@ -57,39 +60,57 @@ func prepareTestGoldenOn(t *testing.T, preset config.Preset) (*Golden, Config) {
 func TestLadderRungPlacement(t *testing.T) {
 	g, _ := prepareTestGolden(t)
 	const k = 4
-	rungs := g.ladder(k)
+	rungs := g.ladder().Rungs(k)
 	if len(rungs) < 2 {
 		t.Fatalf("ladder(%d) built only %d rungs over window [%d, %d)",
 			k, len(rungs), g.Info.WindowLo, g.Info.WindowHi)
 	}
 	ckpt := g.base.CPU.Cycle()
-	if rungs[0].cycle != ckpt || rungs[0].sys != g.base {
-		t.Fatalf("rung 0 must be the window-start checkpoint: cycle %d vs %d", rungs[0].cycle, ckpt)
-	}
-	if rungs[0].commits != g.commitsAtCkpt {
-		t.Fatalf("rung 0 commits %d != checkpoint commits %d", rungs[0].commits, g.commitsAtCkpt)
+	if rungs[0].Cycle != ckpt || rungs[0].Sys != g.base {
+		t.Fatalf("rung 0 must be the window-start checkpoint: cycle %d vs %d", rungs[0].Cycle, ckpt)
 	}
 	for i := 1; i < len(rungs); i++ {
-		if rungs[i].cycle <= rungs[i-1].cycle {
+		if rungs[i].Cycle <= rungs[i-1].Cycle {
 			t.Errorf("rung cycles not strictly increasing: rung %d at %d, rung %d at %d",
-				i-1, rungs[i-1].cycle, i, rungs[i].cycle)
+				i-1, rungs[i-1].Cycle, i, rungs[i].Cycle)
 		}
-		if rungs[i].commits < rungs[i-1].commits {
-			t.Errorf("rung commits not monotone: rung %d has %d, rung %d has %d",
-				i-1, rungs[i-1].commits, i, rungs[i].commits)
+		if rungs[i].Cycle >= g.Info.WindowHi {
+			t.Errorf("rung %d at cycle %d outside window (hi %d)", i, rungs[i].Cycle, g.Info.WindowHi)
 		}
-		if rungs[i].cycle >= g.Info.WindowHi {
-			t.Errorf("rung %d at cycle %d outside window (hi %d)", i, rungs[i].cycle, g.Info.WindowHi)
-		}
-		if rungs[i].sys.CPU.Cycle() != rungs[i].cycle {
+		if rungs[i].Sys.CPU.Cycle() != rungs[i].Cycle {
 			t.Errorf("rung %d records cycle %d but its snapshot sits at %d",
-				i, rungs[i].cycle, rungs[i].sys.CPU.Cycle())
+				i, rungs[i].Cycle, rungs[i].Sys.CPU.Cycle())
 		}
 	}
 	// Memoized: the same depth returns the identical ladder.
-	again := g.ladder(k)
+	again := g.ladder().Rungs(k)
 	if &again[0] != &rungs[0] {
 		t.Error("ladder(k) rebuilt instead of returning the memoized rungs")
+	}
+}
+
+// TestRungCommitsAreCommittedUops holds the HVF offset runOne reads from a
+// scratch's CPU.Stats.Uops to the golden commit stream: counting commits
+// with a hook while replaying the window from the checkpoint reaches each
+// rung's Uops, and the checkpoint's Uops plus every commit after it is
+// the golden trace's length.
+func TestRungCommitsAreCommittedUops(t *testing.T) {
+	g, _ := prepareTestGolden(t)
+	rungs := g.ladder().Rungs(8)
+	w := g.base.Clone()
+	commits := g.base.CPU.Stats.Uops
+	w.CPU.CommitHook = func(cpu.CommitRec) { commits++ }
+	for i, r := range rungs {
+		w.RunUntilCycle(r.Cycle)
+		if got := r.Sys.CPU.Stats.Uops; got != commits {
+			t.Errorf("rung %d at cycle %d: Stats.Uops %d, %d golden commits", i, r.Cycle, got, commits)
+		}
+	}
+	if res := w.Run(500_000_000); res.Status != soc.RunCompleted {
+		t.Fatalf("replay %v", res.Status)
+	}
+	if commits != uint64(g.trace.Len()) {
+		t.Errorf("checkpoint Uops + replayed commits = %d, golden trace has %d", commits, g.trace.Len())
 	}
 }
 
@@ -100,13 +121,13 @@ func TestLadderRungPlacement(t *testing.T) {
 // since the previous one.
 func TestLadderCacheFootprint(t *testing.T) {
 	g, _ := prepareTestGoldenOn(t, config.TableII())
-	rungs := g.ladder(8)
+	rungs := g.ladder().Rungs(8)
 	if len(rungs) != 9 {
 		t.Fatalf("ladder(8) built %d rungs, want 9", len(rungs))
 	}
 	hs := make([]*mem.Hierarchy, len(rungs))
 	for i, r := range rungs {
-		hs[i] = r.sys.Hier
+		hs[i] = r.Sys.Hier
 	}
 	got := mem.CacheFootprint(hs...)
 	t.Logf("%d rungs hold %d bytes of cache blocks", len(rungs), got)
@@ -115,28 +136,29 @@ func TestLadderCacheFootprint(t *testing.T) {
 	}
 }
 
-func TestLadderRungForSelection(t *testing.T) {
-	rungs := []rung{{cycle: 100}, {cycle: 200}, {cycle: 300}, {cycle: 400}}
+// TestFirstTransientCycle: a mask forks from the rung its earliest
+// transient selects (the kernel's rung choice is tested in dispatch), and
+// a mask carrying any permanent fault reports none, pinning it to rung 0.
+func TestFirstTransientCycle(t *testing.T) {
 	cases := []struct {
-		name string
-		mask core.Mask
-		want int
+		name   string
+		faults []core.Fault
+		cycle  uint64
+		ok     bool
 	}{
-		{"before first rung", core.Mask{Faults: []core.Fault{{Model: core.Transient, Cycle: 150}}}, 0},
-		{"exactly at rung", core.Mask{Faults: []core.Fault{{Model: core.Transient, Cycle: 300}}}, 2},
-		{"past last rung", core.Mask{Faults: []core.Fault{{Model: core.Transient, Cycle: 900}}}, 3},
-		{"earliest of several governs", core.Mask{Faults: []core.Fault{
+		{"single transient", []core.Fault{{Model: core.Transient, Cycle: 150}}, 150, true},
+		{"earliest of several governs", []core.Fault{
 			{Model: core.Transient, Cycle: 390},
 			{Model: core.Transient, Cycle: 250},
-		}}, 1},
-		{"permanent pins rung 0", core.Mask{Faults: []core.Fault{
+		}, 250, true},
+		{"permanent pins rung 0", []core.Fault{
 			{Model: core.StuckAt1},
 			{Model: core.Transient, Cycle: 390},
-		}}, 0},
+		}, 0, false},
 	}
 	for _, c := range cases {
-		if got := rungFor(rungs, c.mask); got != c.want {
-			t.Errorf("%s: rungFor = %d, want %d", c.name, got, c.want)
+		if cycle, ok := firstTransientCycle(core.Mask{Faults: c.faults}); cycle != c.cycle || ok != c.ok {
+			t.Errorf("%s: firstTransientCycle = (%d, %v), want (%d, %v)", c.name, cycle, ok, c.cycle, c.ok)
 		}
 	}
 }
@@ -147,25 +169,27 @@ func TestLadderStraddlingMaskAppliesInCycleOrder(t *testing.T) {
 	// flips, keeps running across later rungs' cycles, and flips again.
 	// Verdict and flip narration must match the window-start fork exactly.
 	g, cfg := prepareTestGolden(t)
-	rungs := g.ladder(4)
+	rungs := g.ladder().Rungs(4)
 	if len(rungs) < 3 {
 		t.Skipf("window too short for a straddle: %d rungs", len(rungs))
 	}
 	r := 1
 	mask := core.Mask{ID: 0, Faults: []core.Fault{
 		// Listed out of cycle order on purpose: runOne must sort.
-		{Target: "prf", Bit: 7, Model: core.Transient, Cycle: rungs[r+1].cycle + 1},
-		{Target: "prf", Bit: 3, Model: core.Transient, Cycle: rungs[r].cycle + 1},
+		{Target: "prf", Bit: 7, Model: core.Transient, Cycle: rungs[r+1].Cycle + 1},
+		{Target: "prf", Bit: 3, Model: core.Transient, Cycle: rungs[r].Cycle + 1},
 	}}
-	if got := rungFor(rungs, mask); got != r {
-		t.Fatalf("straddling mask selected rung %d, want %d", got, r)
+	// The earliest flip lies between rungs r and r+1, so the kernel forks
+	// the mask from rung r.
+	if first, _ := firstTransientCycle(mask); first < rungs[r].Cycle || first >= rungs[r+1].Cycle {
+		t.Fatalf("straddling mask's first flip at %d is not served by rung %d [%d, %d)",
+			first, r, rungs[r].Cycle, rungs[r+1].Cycle)
 	}
-	armCycle := rungs[0].cycle
 
 	flatSink := &eventSliceSink{}
 	flatCfg := cfg
 	flatCfg.Trace = flatSink
-	vFlat, err := runOne(flatCfg, rungs[0].sys.Fork(), &g.Info, nil, 0, armCycle, mask, nil)
+	vFlat, err := runOne(flatCfg, rungs[0].Sys.Fork(), g, mask, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +197,7 @@ func TestLadderStraddlingMaskAppliesInCycleOrder(t *testing.T) {
 	ladSink := &eventSliceSink{}
 	ladCfg := cfg
 	ladCfg.Trace = ladSink
-	vLad, err := runOne(ladCfg, rungs[r].sys.Fork(), &g.Info, nil, 0, armCycle, mask, nil)
+	vLad, err := runOne(ladCfg, rungs[r].Sys.Fork(), g, mask, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

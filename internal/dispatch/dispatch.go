@@ -1,13 +1,14 @@
 // Package dispatch is the fault-dispatch kernel of Figure 2's statistical
 // fault-injection controller, shared by the CPU (internal/campaign) and
 // accelerator (internal/accel) campaign engines. An engine prepares its
-// golden reference, checkpoint ladder and fault population, then hands
-// the kernel a Plan: how to fork a scratch system from each checkpoint
-// rung, which rung every fault starts from, and how to run one fault. The
-// kernel owns everything else — the worker pool, per-worker scratch
-// fork/reset/rung switching, contiguous batching with rung-stable sorting,
-// the adaptive Wilson-margin stop, first-error abort, fork accounting and
-// the per-worker profiler lanes.
+// golden reference and fault population, then hands the kernel a Plan:
+// the golden's checkpoint Ladder (rung 0, the window end, a walker and
+// the memo), each fault's first transient injection cycle, and how to
+// run one fault. The kernel owns everything else — building, memoizing
+// and climbing the checkpoint ladder, the worker pool, per-worker scratch
+// fork/reset/rung switching, contiguous batching with rung-stable
+// sorting, the adaptive Wilson-margin stop, first-error abort, fork and
+// replay accounting and the per-worker profiler lanes.
 //
 // The prefix-stable-batch invariant: faults are dispatched in contiguous
 // index ranges [done, hi), the stop decision is taken only at a batch
@@ -118,8 +119,11 @@ func (s Sizing) Z() float64 {
 }
 
 // Scratch is a system forked from a checkpoint rung, reused by one worker
-// across faulty runs.
-type Scratch interface {
+// across faulty runs. Rungs are of the same type: a frozen snapshot the
+// workers fork their scratches from.
+type Scratch[S any] interface {
+	// Fork creates a copy-on-write fork of a frozen snapshot (a rung).
+	Fork() S
 	// Reset rolls the scratch back to the rung it was forked from.
 	Reset()
 	// ForkCounters reports the copy-on-write pages materialized and the
@@ -164,27 +168,121 @@ func (f *ForkStats) add(o ForkStats) {
 	f.ReplayedCycles += o.ReplayedCycles
 }
 
+// Rung is one checkpoint of a ladder: a frozen snapshot and the cycle it
+// was taken at.
+type Rung[S any] struct {
+	Sys   S
+	Cycle uint64
+}
+
+// LadderMemo holds one golden's checkpoint ladders, keyed by rung count
+// and window end, so every campaign over the golden shares them. The
+// zero value is ready; a golden embeds one and is then safe for
+// concurrent Plans. Rung snapshots are frozen once built and shared
+// read-only by forks.
+type LadderMemo[S any] struct {
+	mu      sync.Mutex
+	ladders map[ladderKey][]Rung[S]
+}
+
+type ladderKey struct {
+	k  int
+	hi uint64
+}
+
+// Ladder describes a golden's checkpoint ladder to the kernel.
+type Ladder[S any] struct {
+	// Base is rung 0, the window-start checkpoint, taken at cycle Lo; Hi
+	// is the injection window's end.
+	Base   S
+	Lo, Hi uint64
+	// Walk starts a running copy of Base and returns how to advance it —
+	// until a target cycle or the end of the run, whichever comes first,
+	// reporting the cycle reached (a step may overshoot) and whether the
+	// run ended — and how to snapshot it into a rung it may run past.
+	Walk func() (advance func(target uint64) (cycle uint64, done bool), snapshot func() S)
+	Memo *LadderMemo[S]
+	// StrictlyBefore is the engine's rung rule. The CPU (false) applies a
+	// flip between steps, once the clock reaches its cycle, so a rung at
+	// the injection cycle may serve it. The accelerator (true) applies it
+	// inside Cluster.Tick, after the clock advances, so a rung at the
+	// injection cycle would skip the tick that applies it.
+	StrictlyBefore bool
+}
+
+// Rungs returns the ladder with k mid-window rungs, building and
+// memoizing it on first use. Rung 0 is always Base. Rungs 1..k are
+// snapshots taken while one walker replays the fault-free window, at the
+// target cycles lo + i·(hi−lo)/(k+1); a target at or below the previous
+// rung's cycle is skipped, and the walk stops when the run ends. Rungs
+// record the cycle the walker actually reached, so selection stays sound
+// when a step overshoots. The golden prefix is deterministic, so a run
+// forked from rung r is bit-identical to a rung-0 fork stepped to the same
+// cycle.
+func (l Ladder[S]) Rungs(k int) []Rung[S] {
+	m := l.Memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	key := ladderKey{k: k, hi: l.Hi}
+	if rs, ok := m.ladders[key]; ok {
+		return rs
+	}
+	rungs := []Rung[S]{{Sys: l.Base, Cycle: l.Lo}}
+	if k > 0 && l.Hi > l.Lo {
+		advance, snapshot := l.Walk()
+		for i := 1; i <= k; i++ {
+			target := l.Lo + uint64(i)*(l.Hi-l.Lo)/uint64(k+1)
+			if target <= rungs[len(rungs)-1].Cycle {
+				continue
+			}
+			cycle, done := advance(target)
+			if done {
+				break
+			}
+			rungs = append(rungs, Rung[S]{Sys: snapshot(), Cycle: cycle})
+		}
+	}
+	if m.ladders == nil {
+		m.ladders = map[ladderKey][]Rung[S]{}
+	}
+	m.ladders[key] = rungs
+	return rungs
+}
+
+// rungFor returns the index of the latest rung at (unless strict) or
+// before cycle.
+func rungFor[S any](rungs []Rung[S], strict bool, cycle uint64) int {
+	r := 0
+	for i := 1; i < len(rungs); i++ {
+		if c := rungs[i].Cycle; c > cycle || c == cycle && strict {
+			break
+		}
+		r = i
+	}
+	return r
+}
+
 // Plan describes one campaign's injection phase to the kernel. Faults are
 // the indices [0, Budget()) of a stream drawn over a Bits-bit target
-// population; the embedded Sizing also sets the worker count and the
-// adaptive stop: after every batchLen faults, once at least MinFaults
-// completed, the campaign stops if the Wilson half-width of the AVF at
-// quantile Z() is within TargetMargin.
-type Plan[S Scratch] struct {
+// population; the embedded Sizing also sets the ladder depth, the worker
+// count and the adaptive stop: after every batchLen faults, once at least
+// MinFaults completed, the campaign stops if the Wilson half-width of the
+// AVF at quantile Z() is within TargetMargin.
+type Plan[S Scratch[S]] struct {
 	Sizing
 	Bits uint64
-	// Rungs is the number of mid-window ladder rungs, reported in
-	// ForkStats.
-	Rungs int
-	// Fork forks a fresh scratch system from checkpoint rung r.
-	Fork func(r int) S
-	// RungOf[i] is the rung fault i forks from and Replay[i] the
-	// pre-injection cycles it replays from there. Within a batch faults
-	// are dispatched in stable rung order, so each worker's scratch walks
-	// the ladder monotonically.
-	RungOf []int
-	Replay []uint64
-	// Run executes fault i on s, which is positioned at rung RungOf[i]'s
+	// Ladder is the golden's checkpoint ladder. The kernel climbs it only
+	// when LadderRungs > 0 and some fault is transient; otherwise every
+	// fault forks from rung 0.
+	Ladder Ladder[S]
+	// Inject reports fault i's first transient injection cycle, or false
+	// when it has none (a permanent fault must hold from the window start,
+	// so it always forks from rung 0). Each fault forks from the latest
+	// rung the ladder's rule allows and replays the cycles from there to
+	// its injection. Within a batch faults are dispatched in stable rung
+	// order, so each worker's scratch walks the ladder monotonically.
+	Inject func(i int) (cycle uint64, ok bool)
+	// Run executes fault i on s, which is positioned at its rung's
 	// checkpoint (a fresh fork or a reset one; the two are
 	// state-identical). lane, when profiling, takes the run's
 	// replay/faulty/classify spans. An error aborts the campaign.
@@ -192,9 +290,41 @@ type Plan[S Scratch] struct {
 	// OnVerdict, when non-nil, observes every verdict as it completes. It
 	// is called concurrently from the workers and must not block.
 	OnVerdict func(i int, v classify.Verdict)
-	// Profile, when non-nil, receives per-worker "worker-N" lanes with
-	// fork and reset spans.
+	// Profile, when non-nil, receives a "ladder" lane with the ladder
+	// build span and per-worker "worker-N" lanes with fork and reset
+	// spans.
 	Profile *obs.Profiler
+}
+
+// climb maps every fault of an n-fault plan to the rung it forks from and
+// the pre-injection cycles it replays there, building the ladder when
+// LadderRungs > 0 and some fault is transient.
+func (p Plan[S]) climb(n int) (rungs []Rung[S], rungOf []int, replay []uint64) {
+	rungs = []Rung[S]{{Sys: p.Ladder.Base, Cycle: p.Ladder.Lo}}
+	if p.LadderRungs > 0 {
+		for i := 0; i < n; i++ {
+			if _, ok := p.Inject(i); ok {
+				sp := p.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
+				rungs = p.Ladder.Rungs(p.LadderRungs)
+				sp.End()
+				break
+			}
+		}
+	}
+	rungOf = make([]int, n)
+	replay = make([]uint64, n)
+	for i := range rungOf {
+		cycle, ok := p.Inject(i)
+		if !ok {
+			continue
+		}
+		r := rungFor(rungs, p.Ladder.StrictlyBefore, cycle)
+		rungOf[i] = r
+		if cycle > rungs[r].Cycle {
+			replay[i] = cycle - rungs[r].Cycle
+		}
+	}
+	return rungs, rungOf, replay
 }
 
 // Summary is the engine-independent part of a campaign result; both
@@ -229,8 +359,9 @@ func (s *Summary) AVF() float64 { return s.Counts.AVF() }
 // verdicts of the executed prefix, in index order, with their summary.
 // The first error any run reports aborts the campaign at the end of the
 // current batch.
-func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
+func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 	n, z := p.Budget(), p.Z()
+	rungs, rungOf, replay := p.climb(n)
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -266,11 +397,11 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 			}
 			for i := range work {
 				if !failed.Load() {
-					r := p.RungOf[i]
+					r := rungOf[i]
 					if r != scratchRung {
 						sp := lane.BeginID(obs.PhaseFork, int64(i))
 						retire()
-						scratch, scratchRung = p.Fork(r), r
+						scratch, scratchRung = rungs[r].Sys.Fork(), r
 						sp.End()
 						stats.Forks++
 					} else {
@@ -282,7 +413,7 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 					if r > 0 {
 						stats.RungHits++
 					}
-					stats.ReplayedCycles += p.Replay[i]
+					stats.ReplayedCycles += replay[i]
 					v, err := p.Run(scratch, i, lane)
 					if err != nil {
 						mu.Lock()
@@ -318,7 +449,7 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 		for j := range batch {
 			batch[j] = done + j
 		}
-		sort.SliceStable(batch, func(a, b int) bool { return p.RungOf[batch[a]] < p.RungOf[batch[b]] })
+		sort.SliceStable(batch, func(a, b int) bool { return rungOf[batch[a]] < rungOf[batch[b]] })
 		pending.Add(len(batch))
 		for _, i := range batch {
 			work <- i
@@ -351,6 +482,6 @@ func Run[S Scratch](p Plan[S]) ([]classify.Verdict, Summary, error) {
 	sum.Margin = core.MarginFor(p.Bits, done, z)
 	sum.FaultsSaved = n - done
 	sum.AchievedMargin = metrics.Confidence(sum.Counts.AVF(), done, z).Half()
-	sum.Forking.Rungs = p.Rungs
+	sum.Forking.Rungs = len(rungs) - 1
 	return verdicts, sum, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"marvel/internal/classify"
@@ -12,15 +13,58 @@ import (
 )
 
 // fakeScratch stands in for a forked system: it remembers its rung and
-// reports one copied page and two restored sets per reset.
+// the cycle that rung was taken at, and reports one copied page and two
+// restored sets per reset.
 type fakeScratch struct {
 	rung   int
+	cycle  uint64
 	resets uint64
 }
+
+func (f *fakeScratch) Fork() *fakeScratch { return &fakeScratch{rung: f.rung, cycle: f.cycle} }
 
 func (f *fakeScratch) Reset() { f.resets++ }
 
 func (f *fakeScratch) ForkCounters() (uint64, uint64) { return f.resets, 2 * f.resets }
+
+// fakeWalker advances step cycles at a time, so it may overshoot a
+// target, and its run ends at cycle end. Its snapshots are numbered rungs.
+type fakeWalker struct {
+	cycle, step, end uint64
+	rungs            int
+}
+
+func (w *fakeWalker) Advance(target uint64) (uint64, bool) {
+	for w.cycle < w.end && w.cycle < target {
+		w.cycle += w.step
+	}
+	return w.cycle, w.cycle >= w.end
+}
+
+func (w *fakeWalker) Snapshot() *fakeScratch {
+	w.rungs++
+	return &fakeScratch{rung: w.rungs, cycle: w.cycle}
+}
+
+// fakeLadder is a ladder over the window [lo, hi) whose walker steps step
+// cycles at a time through a run that ends at cycle end. walks, when
+// non-nil, counts the walkers started.
+func fakeLadder(lo, hi, step, end uint64, strict bool, walks *atomic.Int64) Ladder[*fakeScratch] {
+	return Ladder[*fakeScratch]{
+		Base: &fakeScratch{cycle: lo},
+		Lo:   lo,
+		Hi:   hi,
+		Walk: func() (func(uint64) (uint64, bool), func() *fakeScratch) {
+			if walks != nil {
+				walks.Add(1)
+			}
+			w := &fakeWalker{cycle: lo, step: step, end: end}
+			return w.Advance, w.Snapshot
+		},
+		Memo:           &LadderMemo[*fakeScratch]{},
+		StrictlyBefore: strict,
+	}
+}
 
 // verdictOf is a pure function of the fault index, like a real campaign's
 // verdict is of (seed, index): every third fault is an SDC.
@@ -31,24 +75,27 @@ func verdictOf(i int) classify.Verdict {
 	return classify.Verdict{Outcome: classify.Masked, Cycles: uint64(i)}
 }
 
-// testPlan builds an n-fault plan over rungs rung levels. Run fails the
-// test if a scratch is not positioned at the fault's rung.
+// testRung and testReplay are the rung fault i of a testPlan over rungs
+// rung levels forks from, interleaved so sorting matters, and the cycles
+// it replays there.
+func testRung(i, rungs int) int { return (i * 7) % rungs }
+
+func testReplay(i int) uint64 { return uint64(i % 5) }
+
+// testPlan builds an n-fault plan over rungs rung levels: rung r sits at
+// cycle 100·r and fault i is injected testReplay(i) cycles after rung
+// testRung(i). Run fails the test if a scratch is not positioned at the
+// fault's rung.
 func testPlan(t *testing.T, n, rungs, workers int) Plan[*fakeScratch] {
-	rungOf := make([]int, n)
-	replay := make([]uint64, n)
-	for i := range rungOf {
-		rungOf[i] = (i * 7) % rungs // interleaved, so sorting matters
-		replay[i] = uint64(i % 5)
-	}
 	return Plan[*fakeScratch]{
-		Sizing: Sizing{Faults: n, Workers: workers},
-		Rungs:  rungs - 1,
-		Fork:   func(r int) *fakeScratch { return &fakeScratch{rung: r} },
-		RungOf: rungOf,
-		Replay: replay,
+		Sizing: Sizing{Faults: n, Workers: workers, LadderRungs: rungs - 1},
+		Ladder: fakeLadder(0, uint64(100*rungs), 1, 1<<40, false, nil),
+		Inject: func(i int) (uint64, bool) {
+			return uint64(100*testRung(i, rungs)) + testReplay(i), true
+		},
 		Run: func(s *fakeScratch, i int, _ *obs.Lane) (classify.Verdict, error) {
-			if s.rung != rungOf[i] {
-				t.Errorf("fault %d ran on a rung-%d scratch, want rung %d", i, s.rung, rungOf[i])
+			if want := testRung(i, rungs); s.rung != want || s.cycle != uint64(100*want) {
+				t.Errorf("fault %d ran on a rung-%d scratch at cycle %d, want rung %d", i, s.rung, s.cycle, want)
 			}
 			return verdictOf(i), nil
 		},
@@ -95,11 +142,11 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 			t.Errorf("workers=%d: fork counters not folded: %+v", workers, f)
 		}
 		var hits, replayed uint64
-		for i := range p.RungOf {
-			if p.RungOf[i] > 0 {
+		for i := 0; i < n; i++ {
+			if testRung(i, 4) > 0 {
 				hits++
 			}
-			replayed += p.Replay[i]
+			replayed += testReplay(i)
 		}
 		if f.RungHits != hits || f.ReplayedCycles != replayed || f.Rungs != 3 {
 			t.Errorf("workers=%d: ladder accounting %+v, want %d hits, %d replayed, 3 rungs", workers, f, hits, replayed)
@@ -156,7 +203,7 @@ func TestRunRungSortedContiguousBatches(t *testing.T) {
 			}
 			if j > 0 {
 				prev := batch[j-1]
-				if p.RungOf[i] < p.RungOf[prev] || (p.RungOf[i] == p.RungOf[prev] && i < prev) {
+				if r, rp := testRung(i, 3), testRung(prev, 3); r < rp || (r == rp && i < prev) {
 					t.Fatalf("batch %d not in stable rung order at %d after %d", b, i, prev)
 				}
 			}
@@ -250,5 +297,186 @@ func TestValidateSizingAndBudget(t *testing.T) {
 	}
 	if (Sizing{}).Z() != 1.96 || (Sizing{Confidence: -1}).Z() != 1.96 || (Sizing{Confidence: 2.58}).Z() != 2.58 {
 		t.Error("Z must default to 1.96")
+	}
+}
+
+func TestLadderRungPlacement(t *testing.T) {
+	cycles := func(rungs []Rung[*fakeScratch]) []uint64 {
+		var out []uint64
+		for i, r := range rungs {
+			if r.Sys.cycle != r.Cycle || (i > 0 && r.Sys.rung != i) {
+				t.Errorf("rung %d records cycle %d but its snapshot is rung %d at %d", i, r.Cycle, r.Sys.rung, r.Sys.cycle)
+			}
+			out = append(out, r.Cycle)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name              string
+		lo, hi, step, end uint64
+		k                 int
+		want              []uint64
+		walkerStarted     bool
+	}{
+		// lo + i·(hi−lo)/(k+1) for i = 1..k.
+		{"evenly spaced", 10, 110, 1, 1 << 40, 4, []uint64{10, 30, 50, 70, 90}, true},
+		// The walker overshoots 30 to 55 and 70 to 100; targets 50 and 90
+		// then lie at or below the previous rung and are skipped.
+		{"overshoot skips targets", 10, 110, 45, 1 << 40, 4, []uint64{10, 55, 100}, true},
+		// The run ends at 60, before target 70: no rung at or past the end.
+		{"stops at the end of the run", 10, 110, 1, 60, 4, []uint64{10, 30, 50}, true},
+		{"empty window", 10, 10, 1, 1 << 40, 4, []uint64{10}, false},
+		{"no mid-window rungs", 10, 110, 1, 1 << 40, 0, []uint64{10}, false},
+	} {
+		var walks atomic.Int64
+		l := fakeLadder(c.lo, c.hi, c.step, c.end, false, &walks)
+		rungs := l.Rungs(c.k)
+		if got := cycles(rungs); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: rungs at %v, want %v", c.name, got, c.want)
+		}
+		if rungs[0].Sys != l.Base {
+			t.Errorf("%s: rung 0 is not the ladder's base", c.name)
+		}
+		if started := walks.Load() > 0; started != c.walkerStarted {
+			t.Errorf("%s: walker started %v, want %v", c.name, started, c.walkerStarted)
+		}
+	}
+}
+
+// TestLadderMemoBuildsOncePerKey runs concurrent Plans over one golden's
+// memo with two depths and two window ends: each (depth, window end)
+// ladder is walked exactly once and every Plan climbs the same rungs.
+func TestLadderMemoBuildsOncePerKey(t *testing.T) {
+	var walks atomic.Int64
+	base := fakeLadder(0, 400, 1, 1<<40, false, &walks)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	forked := map[[2]uint64]map[*fakeScratch]bool{}
+	for g := 0; g < 16; g++ {
+		k, hi := 1+g%2, uint64(400+400*(g/2%2))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l := base
+			l.Hi = hi
+			p := Plan[*fakeScratch]{
+				Sizing: Sizing{Faults: 8, Workers: 2, LadderRungs: k},
+				Ladder: l,
+				Inject: func(i int) (uint64, bool) { return uint64(i) * hi / 8, true },
+				Run: func(*fakeScratch, int, *obs.Lane) (classify.Verdict, error) {
+					return classify.Verdict{}, nil
+				},
+			}
+			if _, _, err := Run(p); err != nil {
+				t.Error(err)
+			}
+			rungs := l.Rungs(k)
+			mu.Lock()
+			key := [2]uint64{uint64(k), hi}
+			if forked[key] == nil {
+				forked[key] = map[*fakeScratch]bool{}
+			}
+			forked[key][rungs[len(rungs)-1].Sys] = true
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if got := walks.Load(); got != 4 {
+		t.Errorf("%d ladder walks for 4 (depth, window end) keys", got)
+	}
+	for key, tops := range forked {
+		if len(tops) != 1 {
+			t.Errorf("key %v: %d distinct ladders, want one memoized", key, len(tops))
+		}
+	}
+}
+
+// TestLadderRungForSelection checks each engine's rung choice and the
+// replay and rung-hit accounting that follows from it, on rungs at cycles
+// 100 (rung 0), 200, 300 and 400.
+func TestLadderRungForSelection(t *testing.T) {
+	cases := []struct {
+		name           string
+		cycle          uint64
+		transient      bool
+		atOrBefore     int // the CPU's rule
+		strictlyBefore int // the accelerator's rule
+	}{
+		{"at rung 0", 100, true, 0, 0},
+		{"before first rung", 150, true, 0, 0},
+		{"between rungs", 250, true, 1, 1},
+		{"exactly at rung", 300, true, 2, 1},
+		{"past last rung", 900, true, 3, 3},
+		{"no transient pins rung 0", 390, false, 0, 0},
+	}
+	for _, strict := range []bool{false, true} {
+		l := fakeLadder(100, 500, 1, 1<<40, strict, nil)
+		rungs := l.Rungs(3)
+		if len(rungs) != 4 || rungs[1].Cycle != 200 || rungs[3].Cycle != 400 {
+			t.Fatalf("rungs at %+v, want 100, 200, 300, 400", rungs)
+		}
+		var hits, replayed uint64
+		for _, c := range cases {
+			want := c.atOrBefore
+			if strict {
+				want = c.strictlyBefore
+			}
+			if c.transient {
+				if got := rungFor(rungs, strict, c.cycle); got != want {
+					t.Errorf("strict %v, %s: rungFor = %d, want %d", strict, c.name, got, want)
+				}
+				replayed += c.cycle - rungs[want].Cycle
+			}
+			if want > 0 {
+				hits++
+			}
+		}
+		p := Plan[*fakeScratch]{
+			Sizing: Sizing{Faults: len(cases), Workers: 1, LadderRungs: 3},
+			Ladder: l,
+			Inject: func(i int) (uint64, bool) { return cases[i].cycle, cases[i].transient },
+			Run: func(s *fakeScratch, i int, _ *obs.Lane) (classify.Verdict, error) {
+				want := cases[i].atOrBefore
+				if strict {
+					want = cases[i].strictlyBefore
+				}
+				if s.rung != want {
+					t.Errorf("strict %v, %s: ran on rung %d, want %d", strict, cases[i].name, s.rung, want)
+				}
+				return classify.Verdict{}, nil
+			},
+		}
+		_, sum, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := sum.Forking; f.Rungs != 3 || f.RungHits != hits || f.ReplayedCycles != replayed {
+			t.Errorf("strict %v: accounting %+v, want 3 rungs, %d hits, %d replayed", strict, f, hits, replayed)
+		}
+	}
+}
+
+// TestLadderSkippedWithoutTransients: a plan whose faults are all
+// permanent never walks the ladder, whatever its depth, and reports no
+// rungs.
+func TestLadderSkippedWithoutTransients(t *testing.T) {
+	var walks atomic.Int64
+	p := Plan[*fakeScratch]{
+		Sizing: Sizing{Faults: 4, LadderRungs: 8},
+		Ladder: fakeLadder(0, 1000, 1, 1<<40, false, &walks),
+		Inject: func(int) (uint64, bool) { return 0, false },
+		Run: func(s *fakeScratch, _ int, _ *obs.Lane) (classify.Verdict, error) {
+			if s.rung != 0 {
+				t.Errorf("permanent fault ran on rung %d", s.rung)
+			}
+			return classify.Verdict{}, nil
+		},
+	}
+	_, sum, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walks.Load() != 0 || sum.Forking.Rungs != 0 || sum.Forking.RungHits != 0 || sum.Forking.ReplayedCycles != 0 {
+		t.Errorf("%d walks, accounting %+v; want no ladder", walks.Load(), sum.Forking)
 	}
 }

@@ -231,25 +231,7 @@ func (s *System) Output() []byte {
 // runs from. The CPU core is copied; main memory and the caches share
 // every page and cache block with s until either side writes them, and s
 // gives up ownership of its buffers so it may keep running.
-func (s *System) Clone() *System {
-	h := s.Hier.Clone()
-	n := &System{
-		CPU:             s.CPU.Clone(h),
-		Hier:            h,
-		Mem:             h.Mem,
-		Bus:             s.Bus,
-		Img:             s.Img,
-		CheckpointCycle: s.CheckpointCycle,
-		SwitchCycle:     s.SwitchCycle,
-		hasCheckpoint:   s.hasCheckpoint,
-		hasSwitch:       s.hasSwitch,
-	}
-	if s.IntCtrl != nil {
-		n.IntCtrl = s.IntCtrl.Clone()
-	}
-	n.hookMagic()
-	return n
-}
+func (s *System) Clone() *System { return s.copyOver(s.Hier.Clone(), nil) }
 
 // Fork creates a copy-on-write checkpoint fork of the system: main memory
 // pages and cache blocks are shared read-only with s until written, the
@@ -260,8 +242,12 @@ func (s *System) Clone() *System {
 // be stepped afterwards; each fork belongs to a single goroutine, but
 // many forks may share one snapshot. Like Clone, Fork does not carry
 // attached devices.
-func (s *System) Fork() *System {
-	h := s.Hier.Fork()
+func (s *System) Fork() *System { return s.copyOver(s.Hier.Fork(), s) }
+
+// copyOver builds the copy Clone and Fork return: s's CPU core, markers
+// and interrupt controller over the hierarchy h, rolling back to golden
+// on Reset (nil for a clone).
+func (s *System) copyOver(h *mem.Hierarchy, golden *System) *System {
 	n := &System{
 		CPU:             s.CPU.Clone(h),
 		Hier:            h,
@@ -272,7 +258,7 @@ func (s *System) Fork() *System {
 		SwitchCycle:     s.SwitchCycle,
 		hasCheckpoint:   s.hasCheckpoint,
 		hasSwitch:       s.hasSwitch,
-		golden:          s,
+		golden:          golden,
 	}
 	if s.IntCtrl != nil {
 		n.IntCtrl = s.IntCtrl.Clone()

@@ -215,3 +215,60 @@ func TestAccelDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// pinnedHVFLadderDigests are sweep.DigestCPURecords values (and golden
+// cycle counts) of HVF campaigns forked from a 4-rung checkpoint ladder,
+// recorded on commit 6a25261, while each rung still counted its golden
+// commits with a commit hook on the ladder walker. DivergeCommit is part
+// of the digest and is reported in window-start coordinates, i.e. offset
+// by each rung's golden commit count; the ladder equivalence suites
+// compare laddered runs with flat ones that share that offset, so only
+// absolute values can catch a rung commit count that is off. Never
+// regenerate these to make a failure go away.
+var pinnedHVFLadderDigests = map[string]struct {
+	digest string
+	golden uint64
+}{
+	"cpu/arm/crc32/prf/transient":   {"51983a109c97f890", 12514},
+	"cpu/arm/crc32/l1d/transient":   {"2d417e7076553222", 12514},
+	"cpu/x86/crc32/prf/transient":   {"0585457644f5b10c", 19935},
+	"cpu/x86/crc32/l1d/transient":   {"cab6afb51a69b556", 19935},
+	"cpu/riscv/crc32/prf/transient": {"d26342a03256cca7", 16846},
+	"cpu/riscv/crc32/l1d/transient": {"14e7a24c13685279", 16846},
+}
+
+// TestHVFLadderDigestsPinned re-runs 3 ISAs × crc32 × {prf, l1d} ×
+// transient with HVF and a 4-rung ladder, fast preset, 16 live-entry
+// faults per cell, and demands every cell's digest and golden cycle count
+// equal the recorded values.
+func TestHVFLadderDigestsPinned(t *testing.T) {
+	res, err := sweep.Run(sweep.Spec{
+		ISAs:        []string{"arm", "x86", "riscv"},
+		Workloads:   []string{"crc32"},
+		Targets:     []string{"prf", "l1d"},
+		Models:      []string{"transient"},
+		Faults:      16,
+		Seed:        20240302,
+		ValidOnly:   true,
+		HVF:         true,
+		LadderRungs: 4,
+		Preset:      "fast",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != len(pinnedHVFLadderDigests) {
+		t.Errorf("grid has %d cells, %d pinned", len(res.Cells), len(pinnedHVFLadderDigests))
+	}
+	for _, c := range res.Cells {
+		want, ok := pinnedHVFLadderDigests[c.Key]
+		if !ok {
+			t.Errorf("%s: no pinned value (got digest %s, golden %d cycles)", c.Key, c.Digest, c.GoldenCycles)
+			continue
+		}
+		if c.Digest != want.digest || c.GoldenCycles != want.golden {
+			t.Errorf("%s: digest %s golden %d cycles, pinned %s / %d",
+				c.Key, c.Digest, c.GoldenCycles, want.digest, want.golden)
+		}
+	}
+}

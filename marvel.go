@@ -341,7 +341,8 @@ type AccelOptions struct {
 	MinFaults    int
 	MaxFaults    int
 	// GemmMultipliers overrides the gemm datapath's multiplier count
-	// (the Figure 17 design-space exploration); 0 keeps the default.
+	// (the Figure 17 design-space exploration); 0 keeps the default. It
+	// must be non-negative, and non-zero only on design gemm.
 	GemmMultipliers int
 	// Workers bounds campaign parallelism; 0 = GOMAXPROCS. Results are
 	// identical for every worker count.
@@ -384,7 +385,24 @@ func (o AccelOptions) Sweep() SweepOptions {
 }
 
 // Validate resolves every name in the options without running anything.
-func (o AccelOptions) Validate() error { return o.Sweep().Validate() }
+func (o AccelOptions) Validate() error {
+	if err := o.validateGemm(); err != nil {
+		return err
+	}
+	return o.Sweep().Validate()
+}
+
+// validateGemm rejects a GemmMultipliers override the campaign could not
+// apply: a negative count, or any count on a design other than gemm.
+func (o AccelOptions) validateGemm() error {
+	switch {
+	case o.GemmMultipliers < 0:
+		return fmt.Errorf("accel: gemm multipliers must be non-negative, got %d", o.GemmMultipliers)
+	case o.GemmMultipliers > 0 && o.Design != "gemm":
+		return fmt.Errorf("accel: gemm multipliers apply only to design gemm, not %q", o.Design)
+	}
+	return nil
+}
 
 // AccelReport is the outcome of an accelerator campaign.
 type AccelReport struct {
@@ -427,9 +445,12 @@ type AccelReport struct {
 // override seeds the grid's golden cache with that gemm variant, so the
 // cell injects into the variant's datapath.
 func RunAccelCampaign(o AccelOptions) (*AccelReport, error) {
+	if err := o.validateGemm(); err != nil {
+		return nil, err
+	}
 	goldens := sweep.NewRunCache()
 	key := sweep.AccelGoldenKey(o.Design)
-	if o.Design == "gemm" && o.GemmMultipliers > 0 {
+	if o.GemmMultipliers > 0 {
 		if _, _, err := goldens.AccelGolden(key, func() (*sweep.AccelGolden, error) {
 			return gemmGolden(o.GemmMultipliers, o.Profile)
 		}); err != nil {

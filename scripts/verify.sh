@@ -75,6 +75,9 @@ rm -rf "$vetdir"
 
 echo "== race: fault-dispatch kernel =="
 go test -race ./internal/dispatch
+# One golden's ladder memo is shared by every concurrent campaign over it:
+# each (depth, window end) ladder must be walked once, race-free.
+go test -race -count=3 -run '^TestLadder' ./internal/dispatch
 
 echo "== race: parallel campaign determinism =="
 go test -race -run 'TestCampaignWorkerCountInvariance|TestForkCloneEquivalence' ./internal/campaign
