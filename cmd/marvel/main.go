@@ -154,7 +154,7 @@ func cmdCampaign(args []string) error {
 		fmt.Printf("adaptive: target ±%.2f%%, achieved ±%.2f%%, %d of %d budget (%d saved) in %d batches\n",
 			100*sz.margin, 100*rep.AchievedMargin, rep.Faults, rep.Requested, rep.FaultsSaved, rep.Batches)
 	}
-	fmt.Printf("masked=%d sdc=%d crash=%d early-stops=%d\n", rep.Masked, rep.SDC, rep.Crash, rep.EarlyStops)
+	fmt.Printf("masked=%d sdc=%d crash=%d early-stops=%d pruned=%d\n", rep.Masked, rep.SDC, rep.Crash, rep.EarlyStops, rep.Pruned)
 	fmt.Printf("AVF=%.4f (SDC %.4f + Crash %.4f)\n", rep.AVF, rep.SDCAVF, rep.CrashAVF)
 	if rep.HVFMeasured {
 		fmt.Printf("HVF=%.4f\n", rep.HVF)

@@ -174,6 +174,10 @@ func TestFacadeRunSweep(t *testing.T) {
 // engines" (parent 73e8689), when CPU masks moved onto core.MaskSpace.
 // Workers is 1 so the per-worker fork counters are schedule-independent
 // too. Fields a want literal leaves out are pinned at their zero value.
+// The stuck-at case's fork counters were re-pinned when exact stuck-at
+// pruning came in: its three Masked faults are pruned, so they no longer
+// reset a scratch (ForkReuses 31 -> 28) or dirty cache sets a later
+// reset restores (SetsRestored 813 -> 687); its verdicts are unchanged.
 func TestFacadeReportsPinned(t *testing.T) {
 	cpu := []struct {
 		name string
@@ -210,8 +214,8 @@ func TestFacadeReportsPinned(t *testing.T) {
 			Masked: 3, SDC: 7, Crash: 22, AVF: 0.90625, SDCAVF: 0.21875, CrashAVF: 0.6875,
 			Margin: 0.1729130227645744, Z: 1.96, AchievedMargin: 0.14843499335778843,
 			Requested: 96, FaultsSaved: 64, Batches: 1, GoldenCycles: 19935,
-			GoldenInsts: 53291, IPC: 2.673238023576624, Forks: 1, ForkReuses: 31,
-			SetsRestored: 813,
+			GoldenInsts: 53291, IPC: 2.673238023576624, Forks: 1, ForkReuses: 28,
+			SetsRestored: 687, Pruned: 3,
 		}},
 	}
 	for _, tc := range cpu {

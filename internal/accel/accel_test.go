@@ -141,21 +141,23 @@ func TestBankTargetSemantics(t *testing.T) {
 		t.Fatal("used byte should be live")
 	}
 
-	b.Watch(0)
-	if b.WatchState() != core.WatchPending {
+	w := core.NewWatch(0)
+	b.Observe(w)
+	if w.State() != core.WatchPending {
 		t.Fatal("watch should start pending")
 	}
 	if err := b.Read(0x100, buf); err != nil {
 		t.Fatal(err)
 	}
-	if b.WatchState() != core.WatchRead {
+	if w.State() != core.WatchRead {
 		t.Fatal("read must resolve the watch")
 	}
-	b.Watch(0)
+	w = core.NewWatch(0)
+	b.Observe(w)
 	if err := b.Write(0x100, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	if b.WatchState() != core.WatchDead {
+	if w.State() != core.WatchDead {
 		t.Fatal("overwrite must kill the watch")
 	}
 }

@@ -50,9 +50,9 @@ type Bank struct {
 
 	stuck []bankStuck
 
-	watchArmed bool
-	watchByte  uint64
-	watchState core.WatchState
+	// obs, when armed, observes Read (a read port) and Write (an
+	// overwrite port, where stuck bits are re-applied).
+	obs core.PortObserver
 }
 
 type bankStuck struct {
@@ -95,8 +95,12 @@ func (b *Bank) Read(addr uint64, buf []byte) error {
 		return fmt.Errorf("accel: %s read at %#x out of range", b.spec.Name, addr)
 	}
 	off := addr - b.spec.Base
-	b.watchRead(off, len(buf))
 	copy(buf, b.data[off:])
+	if b.obs != nil {
+		// Report the bank's own bytes: handing buf to the observer
+		// would move every caller's buffer to the heap.
+		b.obs.Read(off, b.data[off:off+uint64(len(buf))])
+	}
 	return nil
 }
 
@@ -106,7 +110,9 @@ func (b *Bank) Write(addr uint64, data []byte) error {
 		return fmt.Errorf("accel: %s write at %#x out of range", b.spec.Name, addr)
 	}
 	off := addr - b.spec.Base
-	b.watchOverwrite(off, len(data))
+	if b.obs != nil {
+		b.obs.Overwrite(off, uint64(len(data)))
+	}
 	copy(b.data[off:], data)
 	for _, s := range b.stuck {
 		if s.byteIdx >= off && s.byteIdx < off+uint64(len(data)) {
@@ -116,25 +122,24 @@ func (b *Bank) Write(addr uint64, data []byte) error {
 	return nil
 }
 
-// Clone deep-copies the bank.
+// Clone deep-copies the bank; the clone starts unobserved.
 func (b *Bank) Clone() *Bank {
 	n := *b
 	n.data = append([]byte(nil), b.data...)
 	n.stuck = append([]bankStuck(nil), b.stuck...)
+	n.obs = nil
 	return &n
 }
 
 // ResetTo rolls the bank back to the state of its golden counterpart g
 // (the bank it was cloned from), reusing the existing storage: contents
-// are copied back in place and the run's stuck-at faults and watchpoints
+// are copied back in place and the run's stuck-at faults and observer
 // are dropped. Banks must share a spec.
 func (b *Bank) ResetTo(g *Bank) {
 	copy(b.data, g.data)
 	b.usedBytes = g.usedBytes
 	b.stuck = append(b.stuck[:0], g.stuck...)
-	b.watchArmed = g.watchArmed
-	b.watchByte = g.watchByte
-	b.watchState = g.watchState
+	b.obs = nil
 }
 
 // --- core.Target ---
@@ -161,28 +166,7 @@ func (b *Bank) Stick(bit uint64, v uint8) {
 	b.data[s.byteIdx] = b.data[s.byteIdx]&^s.mask | s.value
 }
 
-// Watch implements core.Target.
-func (b *Bank) Watch(bit uint64) {
-	b.watchArmed = true
-	b.watchByte = bit / 8
-	b.watchState = core.WatchPending
-}
+// Observe implements core.Observable.
+func (b *Bank) Observe(o core.PortObserver) { b.obs = o }
 
-// WatchState implements core.Target.
-func (b *Bank) WatchState() core.WatchState { return b.watchState }
-
-func (b *Bank) watchRead(off uint64, n int) {
-	if b.watchArmed && b.watchState == core.WatchPending &&
-		b.watchByte >= off && b.watchByte < off+uint64(n) {
-		b.watchState = core.WatchRead
-	}
-}
-
-func (b *Bank) watchOverwrite(off uint64, n int) {
-	if b.watchArmed && b.watchState == core.WatchPending &&
-		b.watchByte >= off && b.watchByte < off+uint64(n) {
-		b.watchState = core.WatchDead
-	}
-}
-
-var _ core.Target = (*Bank)(nil)
+var _ core.Observable = (*Bank)(nil)

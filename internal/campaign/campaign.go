@@ -8,7 +8,9 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,7 +92,8 @@ type Config struct {
 	// Emit calls and events from different runs interleave; single-run
 	// narration (ExplainWithGolden) arms its own sink. Tracing never changes
 	// verdicts: emission sites only observe (watches are pure observers
-	// and the early-stop predicate keeps its polling cadence).
+	// and the early-stop predicate keeps its polling cadence). A traced
+	// campaign simulates every fault: stuck-at pruning is off.
 	Trace obs.Tracer
 	// Profile, when non-nil, attributes wall-clock time to campaign
 	// phases (golden and ladder prep, fork, reset, residual replay,
@@ -234,6 +237,10 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	pruned, err := pruner(cfg, g, masks)
+	if err != nil {
+		return nil, err
+	}
 
 	verdicts, sum, err := dispatch.Run(dispatch.Plan[*soc.System]{
 		Sizing: cfg.Sizing,
@@ -243,6 +250,7 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 		Run: func(s *soc.System, i int, lane *obs.Lane) (classify.Verdict, error) {
 			return runOne(cfg, s, g, masks[i], lane)
 		},
+		Pruned:    pruned,
 		OnVerdict: cfg.OnVerdict,
 		Profile:   cfg.Profile,
 	})
@@ -274,6 +282,79 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// pruner returns the kernel's exact stuck-at pruning for an untraced
+// campaign whose masks are all permanent, or nil. It runs the golden
+// once more from the window start (the fork point of every permanent
+// fault) with a core.ReadSummary armed on each target. A mask whose
+// every fault is a stuck-at-v bit that held v at every port the summary
+// saw leaves the faulty run identical to the golden run, so its verdict
+// is the golden's. The summaries belong to this campaign alone: they are
+// not kept on the Golden, which stays immutable and shared.
+func pruner(cfg Config, g *Golden, masks []core.Mask) (func(int) (classify.Verdict, bool), error) {
+	if cfg.Trace != nil {
+		return nil, nil
+	}
+	for _, m := range masks {
+		if _, transient := firstTransientCycle(m); transient {
+			return nil, nil
+		}
+	}
+	sp := cfg.Profile.NewLane("golden").Begin(obs.PhaseGolden)
+	defer sp.End()
+	s := g.base.Clone()
+	sums := map[string]*core.ReadSummary{}
+	for _, name := range targetNames(cfg) {
+		if sums[name] != nil {
+			continue
+		}
+		t, err := TargetOf(s, name)
+		if err != nil {
+			return nil, err
+		}
+		ot, ok := t.(core.Observable)
+		if !ok {
+			return nil, nil
+		}
+		sum := core.NewReadSummary(t.BitLen())
+		ot.Observe(sum)
+		sums[name] = sum
+	}
+	unobserved := func(i int) bool {
+		for _, f := range masks[i].Faults {
+			if !sums[f.Target].Unobserved(f.Bit, f.Model.StuckBit()) {
+				return false
+			}
+		}
+		return true
+	}
+	// A summary only ever sees more values, so the pass stops as soon as
+	// every mask has been seen: then none can be pruned.
+	open := make([]int, len(masks))
+	for i := range open {
+		open[i] = i
+	}
+	res, stopped := s.RunChecked(g.Info.Cycles+1, 1024, func() bool {
+		open = slices.DeleteFunc(open, func(i int) bool { return !unobserved(i) })
+		return len(open) == 0
+	})
+	if stopped {
+		return nil, nil
+	}
+	if res.Status != soc.RunCompleted || res.Cycles != g.Info.Cycles || !bytes.Equal(res.Output, g.Info.Output) {
+		return nil, fmt.Errorf("campaign: golden observation run %v at cycle %d departs from the golden run", res.Status, res.Cycles)
+	}
+	// A run identical to the golden classifies as runOne's full path
+	// does: Masked by the run, no cycle delta, and with HVF an intact
+	// commit stream.
+	golden := verdictFromRun(g.Info.Output, g.Info.Cycles, res)
+	return func(i int) (classify.Verdict, bool) {
+		if unobserved(i) {
+			return golden, true
+		}
+		return classify.Verdict{}, false
+	}, nil
 }
 
 // runGolden performs the fault-free run, returning the reference info, the
@@ -314,13 +395,9 @@ func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, error) {
 // MultiTargets) with its bit count, the model, faults per structure and
 // the injection window. It also returns the total injectable bits.
 func maskSpace(cfg Config, base *soc.System, golden *GoldenInfo) (core.MaskSpace, uint64, error) {
-	names := cfg.MultiTargets
-	if len(names) == 0 {
-		names = []string{cfg.Target}
-	}
 	sp := core.MaskSpace{Model: cfg.Model, BitsPer: cfg.BitsPerFault, WindowLo: golden.WindowLo, WindowHi: golden.WindowHi}
 	var total uint64
-	for _, name := range names {
+	for _, name := range targetNames(cfg) {
 		tgt, err := TargetOf(base, name)
 		if err != nil {
 			return core.MaskSpace{}, 0, err
@@ -329,6 +406,15 @@ func maskSpace(cfg Config, base *soc.System, golden *GoldenInfo) (core.MaskSpace
 		total += tgt.BitLen()
 	}
 	return sp, total, sp.Validate()
+}
+
+// targetNames lists the campaign's structures: Target, or each of
+// MultiTargets.
+func targetNames(cfg Config) []string {
+	if len(cfg.MultiTargets) > 0 {
+		return cfg.MultiTargets
+	}
+	return []string{cfg.Target}
 }
 
 // buildMasks derives the campaign's whole budget of masks. Mask i is a pure
@@ -362,7 +448,7 @@ func buildMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.Mask, 
 // When cfg.Trace is armed, runOne additionally narrates the fault's
 // lifecycle: arming, application, first corrupted read / overwrite death
 // (by arming the §IV-B watch purely as an observer, even when early
-// termination is off — all watch implementations are side-effect-free),
+// termination is off — a core.Watch only records what the ports report),
 // squashes and store-forwards (via the CPU's tracer), first commit-stream
 // divergence (by polling the HVF comparator inside the commit hook), the
 // watchdog, and the verdict. None of this changes behavior: the early-stop
@@ -486,31 +572,31 @@ func runOne(cfg Config, s *soc.System, g *Golden, mask core.Mask, lane *obs.Lane
 		}
 	}
 
-	earlyOK := cfg.EarlyTermination && single && !s.CPU.Done()
-	// The watch is armed for narration even when early termination is off:
-	// every Watch/WatchState implementation is a pure observer, so this
-	// cannot perturb the run.
-	traceWatch := tr != nil && single && len(transients) == 1 && !s.CPU.Done()
-	if earlyOK && len(transients) == 1 {
-		if !tgt.Live(appliedBit) {
-			// Invalid or unused entry: provably masked (§IV-B).
-			if tr != nil {
-				tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindInvalidMasked, Target: primary, Bit: appliedBit, Detail: "fault landed in a dead or invalid entry"})
-				tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindVerdict, Target: primary, Detail: classify.Masked.String()})
-			}
-			return classify.EarlyMasked(classify.MaskedInvalidEntry, s.CPU.Cycle()), nil
+	earlyOK := cfg.EarlyTermination && single && len(transients) == 1 && !s.CPU.Done()
+	if earlyOK && !tgt.Live(appliedBit) {
+		// Invalid or unused entry: provably masked (§IV-B).
+		if tr != nil {
+			tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindInvalidMasked, Target: primary, Bit: appliedBit, Detail: "fault landed in a dead or invalid entry"})
+			tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindVerdict, Target: primary, Detail: classify.Masked.String()})
 		}
-		tgt.Watch(appliedBit)
-	} else if traceWatch {
-		tgt.Watch(appliedBit)
+		return classify.EarlyMasked(classify.MaskedInvalidEntry, s.CPU.Cycle()), nil
+	}
+	// The watch is armed for narration even when early termination is off:
+	// it only records what the target's ports report, so this cannot
+	// perturb the run. Targets without ports (ROB, IQ) get none.
+	traceWatch := tr != nil && single && len(transients) == 1 && !s.CPU.Done()
+	var watch *core.Watch
+	if ot, ok := tgt.(core.Observable); ok && (earlyOK || traceWatch) {
+		watch = core.NewWatch(appliedBit)
+		ot.Observe(watch)
 	}
 
 	var stop func() bool
 	every := uint64(128)
-	if earlyOK && len(transients) == 1 {
-		stop = func() bool { return tgt.WatchState() == core.WatchDead }
+	if earlyOK && watch != nil {
+		stop = func() bool { return watch.State() == core.WatchDead }
 	}
-	if traceWatch {
+	if traceWatch && watch != nil {
 		// Observe watch-state transitions at the early-stop polling cadence.
 		// The wrapper preserves the inner predicate's value exactly; when
 		// early termination is off the predicate is always false, so a finer
@@ -522,7 +608,7 @@ func runOne(cfg Config, s *soc.System, g *Golden, mask core.Mask, lane *obs.Lane
 		prev := core.WatchPending
 		c := s.CPU
 		stop = func() bool {
-			if st := tgt.WatchState(); st != prev {
+			if st := watch.State(); st != prev {
 				switch st {
 				case core.WatchRead:
 					tr.Emit(obs.Event{Cycle: c.Cycle(), Kind: obs.KindCorruptRead, Target: primary, Bit: appliedBit, Detail: "corrupted bit consumed"})

@@ -91,33 +91,6 @@ type Mask struct {
 	Faults []Fault
 }
 
-// WatchState describes the lifecycle of a monitored faulty bit, used for
-// the early-termination optimization of §IV-B: a fault whose bit is
-// overwritten or invalidated before ever being read cannot affect the run.
-type WatchState uint8
-
-const (
-	// WatchPending means the faulty bit has been neither read nor killed.
-	WatchPending WatchState = iota
-	// WatchRead means the faulty bit was consumed; the fault may propagate.
-	WatchRead
-	// WatchDead means the faulty bit was overwritten, invalidated or freed
-	// before any read: the fault is provably masked.
-	WatchDead
-)
-
-func (w WatchState) String() string {
-	switch w {
-	case WatchPending:
-		return "pending"
-	case WatchRead:
-		return "read"
-	case WatchDead:
-		return "dead"
-	}
-	return fmt.Sprintf("watch(%d)", uint8(w))
-}
-
 // Target is implemented by every hardware structure that supports fault
 // injection. Bit coordinates run from 0 to BitLen()-1 and cover the
 // structure's storage (data arrays for caches and SPMs, value+metadata
@@ -138,11 +111,6 @@ type Target interface {
 	// (permanent fault). Implementations re-apply the value after every
 	// write to the containing storage.
 	Stick(bit uint64, v uint8)
-	// Watch arms read/overwrite monitoring for the bit. Only one bit per
-	// target is watched at a time (single-fault campaigns).
-	Watch(bit uint64)
-	// WatchState reports the watched bit's lifecycle state.
-	WatchState() WatchState
 }
 
 // Domain selects the population faults are drawn from.

@@ -270,19 +270,21 @@ func TestPRFTargetSemantics(t *testing.T) {
 	}
 
 	// Watch lifecycle: read resolves to WatchRead.
-	p.Watch(3 * 64)
-	if p.WatchState() != core.WatchPending {
+	w := core.NewWatch(3 * 64)
+	p.Observe(w)
+	if w.State() != core.WatchPending {
 		t.Fatal("watch should start pending")
 	}
 	_ = p.Read(3)
-	if p.WatchState() != core.WatchRead {
-		t.Fatalf("after read: %v", p.WatchState())
+	if w.State() != core.WatchRead {
+		t.Fatalf("after read: %v", w.State())
 	}
 	// Overwrite-before-read resolves to WatchDead.
-	p.Watch(3 * 64)
+	w = core.NewWatch(3 * 64)
+	p.Observe(w)
 	p.Write(3, 42)
-	if p.WatchState() != core.WatchDead {
-		t.Fatalf("after write: %v", p.WatchState())
+	if w.State() != core.WatchDead {
+		t.Fatalf("after write: %v", w.State())
 	}
 }
 

@@ -1,6 +1,10 @@
 package cpu
 
-import "marvel/internal/core"
+import (
+	"encoding/binary"
+
+	"marvel/internal/core"
+)
 
 // Injection layout of one load/store queue entry, following the paper's
 // description of queue state (address, data, status): bits 0..63 hold the
@@ -10,6 +14,7 @@ import "marvel/internal/core"
 // naturally masked).
 const (
 	lsqEntryBits   = 136
+	lsqEntryBytes  = lsqEntryBits / 8
 	lsqAddrBase    = 0
 	lsqDataBase    = 64
 	lsqStatusBase  = 128
@@ -45,10 +50,13 @@ type LSQ struct {
 
 	stuck []lsqStuckBit
 
-	watchArmed bool
-	watchSlot  int
-	watchState core.WatchState
-	watchLate  bool // load value already delivered when the watch was armed
+	// obs, when armed, observes the entries' ports (see Observe); slot s
+	// is the bytes [17s, 17s+17) in the injection layout, which enc
+	// holds for a report. delivered marks the slots whose load value was
+	// delivered before obs was armed.
+	obs       core.PortObserver
+	enc       [lsqEntryBytes]byte
+	delivered []bool
 }
 
 type lsqStuckBit struct {
@@ -84,14 +92,27 @@ func (q *LSQ) alloc(seq uint64, robIdx int) (int, bool) {
 	s := q.slot(q.count)
 	q.entries[s] = lsqEntry{valid: true, seq: seq, robIdx: robIdx}
 	q.count++
-	q.applyStuckSlot(s)
+	if q.obs != nil {
+		q.delivered[s] = false
+	}
+	q.enforceStuck(s)
 	return s, true
 }
 
 // popHead releases the oldest entry (commit order).
 func (q *LSQ) popHead() {
 	s := q.head
-	q.watchFreed(s)
+	if q.obs != nil {
+		// A load whose value was delivered before arming cannot pass it
+		// on any more: its retirement kills the entry. Any other
+		// retirement counts as a read.
+		if q.delivered[s] {
+			q.delivered[s] = false
+			q.obs.Overwrite(uint64(s)*lsqEntryBytes, lsqEntryBytes)
+		} else {
+			q.reportUsed(s)
+		}
+	}
 	q.entries[s].valid = false
 	q.head = (q.head + 1) % len(q.entries)
 	q.count--
@@ -106,7 +127,9 @@ func (q *LSQ) squashYoungerThan(limit uint64) {
 		if q.entries[s].seq <= limit {
 			return
 		}
-		q.watchSquashed(s)
+		if q.obs != nil {
+			q.obs.Overwrite(uint64(s)*lsqEntryBytes, lsqEntryBytes)
+		}
 		q.entries[s].valid = false
 		q.count--
 	}
@@ -120,22 +143,24 @@ func (q *LSQ) reset() {
 	q.head, q.count = 0, 0
 }
 
-// Clone deep-copies the queue.
+// Clone deep-copies the queue; the clone starts unobserved.
 func (q *LSQ) Clone() *LSQ {
 	n := *q
 	n.entries = append([]lsqEntry(nil), q.entries...)
 	n.stuck = append([]lsqStuckBit(nil), q.stuck...)
+	n.obs, n.delivered = nil, nil
 	return &n
 }
 
 // ResetTo restores q to g's state without allocating, reusing q's backing
-// arrays (checkpoint-fork reuse across faulty runs).
+// arrays (checkpoint-fork reuse across faulty runs); q ends unobserved.
 func (q *LSQ) ResetTo(g *LSQ) {
-	entries, stuck := q.entries, q.stuck
+	entries, stuck, delivered := q.entries, q.stuck, q.delivered
 	*q = *g
 	q.entries = entries
 	copy(q.entries, g.entries)
 	q.stuck = append(stuck[:0], g.stuck...)
+	q.obs, q.delivered = nil, delivered
 }
 
 // --- core.Target implementation ---
@@ -240,11 +265,54 @@ func (q *LSQ) applyStuckSlot(slot int) {
 	}
 }
 
-// enforceStuck re-applies permanent faults to a slot after field updates.
+// enforceStuck re-applies permanent faults to a slot after field updates
+// or allocation: the queue's enforcement port.
 func (q *LSQ) enforceStuck(slot int) {
-	if len(q.stuck) != 0 {
-		q.applyStuckSlot(slot)
+	if q.obs != nil || len(q.stuck) != 0 {
+		q.enforce(slot)
 	}
+}
+
+// used is the queue's read port: the pipeline consumed the fields of the
+// entry in slot (store commit, store-to-load forwarding, retirement).
+func (q *LSQ) used(slot int) {
+	if q.obs != nil {
+		q.reportUsed(slot)
+	}
+}
+
+// enforce reports an enforcement point to the armed observer and
+// re-applies the stuck bits; reportUsed reports a read. They stay out of
+// line so that enforceStuck and used, called for every memory access,
+// stay small enough to inline.
+//
+//go:noinline
+func (q *LSQ) enforce(slot int) {
+	if q.obs != nil {
+		q.obs.Enforce(uint64(slot)*lsqEntryBytes, q.encode(slot))
+	}
+	q.applyStuckSlot(slot)
+}
+
+//go:noinline
+func (q *LSQ) reportUsed(slot int) {
+	q.obs.Read(uint64(slot)*lsqEntryBytes, q.encode(slot))
+}
+
+// encode returns slot's fields in the injection layout: address, data
+// and the status byte, little-endian.
+func (q *LSQ) encode(slot int) []byte {
+	e := &q.entries[slot]
+	binary.LittleEndian.PutUint64(q.enc[0:], e.addr)
+	binary.LittleEndian.PutUint64(q.enc[8:], e.data)
+	var st byte
+	for b := uint64(0); b < 8; b++ {
+		if q.statusBit(e, b) {
+			st |= 1 << b
+		}
+	}
+	q.enc[16] = st
+	return q.enc[:]
 }
 
 func (q *LSQ) getBit(e *lsqEntry, off uint64) bool {
@@ -258,44 +326,25 @@ func (q *LSQ) getBit(e *lsqEntry, off uint64) bool {
 	}
 }
 
-// Watch implements core.Target.
-func (q *LSQ) Watch(bit uint64) {
-	q.watchArmed = true
-	q.watchSlot = int(bit / lsqEntryBits)
-	q.watchState = core.WatchPending
-	e := &q.entries[q.watchSlot]
-	q.watchLate = e.valid && e.dataReady && e.accessed
-}
-
-// WatchState implements core.Target.
-func (q *LSQ) WatchState() core.WatchState { return q.watchState }
-
-// watchUsed marks the watched entry as consumed (conservative: the fault
-// may propagate).
-func (q *LSQ) watchUsed(slot int) {
-	if q.watchArmed && q.watchState == core.WatchPending && slot == q.watchSlot {
-		q.watchState = core.WatchRead
+// Observe implements core.Observable. Stick enforces at once, so arming
+// reports every slot's contents as an enforcement point; allocation and
+// the pipeline's field updates are the others. Stuck bits hold lazily,
+// between those points, so the queue's read ports (store commit and
+// forwarding, retirement) are not all of its uses: a summary of the
+// queue proves a stuck-at unobserved through its enforcement points.
+func (q *LSQ) Observe(o core.PortObserver) {
+	q.obs = o
+	if o == nil {
+		return
+	}
+	if q.delivered == nil {
+		q.delivered = make([]bool, len(q.entries))
+	}
+	for s := range q.entries {
+		e := &q.entries[s]
+		q.delivered[s] = e.valid && e.dataReady && e.accessed
+		o.Enforce(uint64(s)*lsqEntryBytes, q.encode(s))
 	}
 }
 
-// watchSquashed marks the watched entry provably dead.
-func (q *LSQ) watchSquashed(slot int) {
-	if q.watchArmed && q.watchState == core.WatchPending && slot == q.watchSlot {
-		q.watchState = core.WatchDead
-	}
-}
-
-// watchFreed resolves the watch when the entry retires: a load whose value
-// was already delivered before the fault cannot propagate it anymore, so
-// the fault is dead; anything else counts as consumed.
-func (q *LSQ) watchFreed(slot int) {
-	if q.watchArmed && q.watchState == core.WatchPending && slot == q.watchSlot {
-		if q.watchLate {
-			q.watchState = core.WatchDead
-		} else {
-			q.watchState = core.WatchRead
-		}
-	}
-}
-
-var _ core.Target = (*LSQ)(nil)
+var _ core.Observable = (*LSQ)(nil)

@@ -126,7 +126,7 @@ func (c *CPU) commitStore(e *robEntry) bool {
 		c.trap = &Trap{Code: TrapDeadlock, PC: e.uop.PC}
 		return false
 	}
-	c.sq.watchUsed(e.sqSlot)
+	c.sq.used(e.sqSlot)
 	size := int(se.size)
 	if size == 0 {
 		size = 1
@@ -291,7 +291,7 @@ func (c *CPU) tryLoad(le *lsqEntry) (loadStatus, uint64, int) {
 		}
 		if se.addr <= le.addr && se.addr+uint64(sSize) >= le.addr+uint64(size) && se.dataReady {
 			// Full overlap: forward.
-			c.sq.watchUsed(c.sq.slot(i))
+			c.sq.used(c.sq.slot(i))
 			sh := (le.addr - se.addr) * 8
 			return loadForwarded, se.data >> sh, 0
 		}

@@ -1,6 +1,10 @@
 package cpu
 
-import "marvel/internal/core"
+import (
+	"encoding/binary"
+
+	"marvel/internal/core"
+)
 
 // PReg is a physical register index.
 type PReg uint16
@@ -24,9 +28,11 @@ type PhysRegFile struct {
 
 	stuck []prfStuck
 
-	watchArmed bool
-	watchReg   int
-	watchState core.WatchState
+	// obs, when armed, observes the ports: Read reads register r's
+	// bytes [8r, 8r+8), Write and Free overwrite them. word holds the
+	// little-endian value a read reports.
+	obs  core.PortObserver
+	word [8]byte
 }
 
 // NewPhysRegFile creates a PRF with n registers, all free and not ready.
@@ -45,10 +51,10 @@ func NewPhysRegFile(n int) *PhysRegFile {
 // Len returns the number of physical registers.
 func (p *PhysRegFile) Len() int { return len(p.vals) }
 
-// Read returns the value of r, recording the read for watch monitoring.
+// Read returns the value of r: the register file's one read port.
 func (p *PhysRegFile) Read(r PReg) uint64 {
-	if p.watchArmed && p.watchState == core.WatchPending && int(r) == p.watchReg {
-		p.watchState = core.WatchRead
+	if p.obs != nil {
+		p.reportRead(r)
 	}
 	return p.vals[r]
 }
@@ -56,8 +62,8 @@ func (p *PhysRegFile) Read(r PReg) uint64 {
 // Write sets the value of r and marks it ready; stuck-at faults are
 // re-applied so they survive every write.
 func (p *PhysRegFile) Write(r PReg, v uint64) {
-	if p.watchArmed && p.watchState == core.WatchPending && int(r) == p.watchReg {
-		p.watchState = core.WatchDead
+	if p.obs != nil {
+		p.reportOverwrite(r)
 	}
 	for _, s := range p.stuck {
 		if s.reg == int(r) {
@@ -67,6 +73,19 @@ func (p *PhysRegFile) Write(r PReg, v uint64) {
 	p.vals[r] = v
 	p.ready[r] = true
 }
+
+// reportRead and reportOverwrite report to the armed observer. They stay
+// out of line so that Read and Free, called for every operand and
+// retirement, stay small enough to inline.
+//
+//go:noinline
+func (p *PhysRegFile) reportRead(r PReg) {
+	binary.LittleEndian.PutUint64(p.word[:], p.vals[r])
+	p.obs.Read(uint64(r)*8, p.word[:])
+}
+
+//go:noinline
+func (p *PhysRegFile) reportOverwrite(r PReg) { p.obs.Overwrite(uint64(r)*8, 8) }
 
 // Ready reports whether r holds a produced value.
 func (p *PhysRegFile) Ready(r PReg) bool { return p.ready[r] }
@@ -79,16 +98,17 @@ func (p *PhysRegFile) Allocate(r PReg) {
 
 // Free returns r to the free pool.
 func (p *PhysRegFile) Free(r PReg) {
-	if p.watchArmed && p.watchState == core.WatchPending && int(r) == p.watchReg {
+	if p.obs != nil {
 		// A freed register can only influence the run again after being
 		// re-allocated and re-written, which overwrites the fault.
-		p.watchState = core.WatchDead
+		p.reportOverwrite(r)
 	}
 	p.free[r] = true
 	p.ready[r] = false
 }
 
-// SetInitial writes a value without touching watch state (machine setup).
+// SetInitial writes a value without reporting to the observer (machine
+// setup).
 func (p *PhysRegFile) SetInitial(r PReg, v uint64) {
 	p.vals[r] = v
 	p.ready[r] = true
@@ -102,21 +122,16 @@ func (p *PhysRegFile) ResetTo(g *PhysRegFile) {
 	copy(p.ready, g.ready)
 	copy(p.free, g.free)
 	p.stuck = append(p.stuck[:0], g.stuck...)
-	p.watchArmed = g.watchArmed
-	p.watchReg = g.watchReg
-	p.watchState = g.watchState
+	p.obs = nil
 }
 
 // Clone deep-copies the register file.
 func (p *PhysRegFile) Clone() *PhysRegFile {
 	n := &PhysRegFile{
-		vals:       append([]uint64(nil), p.vals...),
-		ready:      append([]bool(nil), p.ready...),
-		free:       append([]bool(nil), p.free...),
-		stuck:      append([]prfStuck(nil), p.stuck...),
-		watchArmed: p.watchArmed,
-		watchReg:   p.watchReg,
-		watchState: p.watchState,
+		vals:  append([]uint64(nil), p.vals...),
+		ready: append([]bool(nil), p.ready...),
+		free:  append([]bool(nil), p.free...),
+		stuck: append([]prfStuck(nil), p.stuck...),
 	}
 	return n
 }
@@ -147,14 +162,7 @@ func (p *PhysRegFile) Stick(bit uint64, v uint8) {
 	p.vals[s.reg] = p.vals[s.reg]&^s.mask | s.val
 }
 
-// Watch implements core.Target.
-func (p *PhysRegFile) Watch(bit uint64) {
-	p.watchArmed = true
-	p.watchReg = int(bit / 64)
-	p.watchState = core.WatchPending
-}
+// Observe implements core.Observable.
+func (p *PhysRegFile) Observe(o core.PortObserver) { p.obs = o }
 
-// WatchState implements core.Target.
-func (p *PhysRegFile) WatchState() core.WatchState { return p.watchState }
-
-var _ core.Target = (*PhysRegFile)(nil)
+var _ core.Observable = (*PhysRegFile)(nil)

@@ -10,6 +10,10 @@ import "marvel/internal/core"
 //
 // Register-tag fields are masked to the physical register index width on
 // injection, as the hardware field would be.
+//
+// Neither structure is a core.Observable: no dead-fault or pruning proof
+// is attempted for control state, so every fault there runs the full
+// simulation.
 
 // robEntryBits is the injectable state per ROB entry: two physical
 // register tags (destination and previous mapping, 8 bits each) and three
@@ -90,12 +94,6 @@ func (t robTarget) getBit(bit uint64) bool {
 	}
 }
 
-// Watch is conservative for control structures: dead-fault proofs are not
-// attempted, so the watch never reports WatchDead and the campaign always
-// runs the full simulation.
-func (t robTarget) Watch(bit uint64)            {}
-func (t robTarget) WatchState() core.WatchState { return core.WatchPending }
-
 var _ core.Target = robTarget{}
 
 // iqEntryBits is the injectable state per issue-queue slot: the ROB index
@@ -135,8 +133,5 @@ func (t iqTarget) Stick(bit uint64, v uint8) {
 		t.Flip(bit)
 	}
 }
-
-func (t iqTarget) Watch(bit uint64)            {}
-func (t iqTarget) WatchState() core.WatchState { return core.WatchPending }
 
 var _ core.Target = iqTarget{}

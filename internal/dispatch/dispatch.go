@@ -133,9 +133,9 @@ type Scratch[S any] interface {
 
 // ForkStats counts checkpoint-forking activity over one campaign.
 type ForkStats struct {
-	// Forks is the number of scratch systems created: one per worker,
-	// plus one each time the dispatch order moves a worker to another
-	// rung.
+	// Forks is the number of scratch systems created: one per worker
+	// that simulates a fault, plus one each time the dispatch order moves
+	// a worker to another rung.
 	Forks uint64
 	// ReuseHits counts faulty runs served by resetting an existing scratch
 	// system instead of forking a new one.
@@ -157,6 +157,9 @@ type ForkStats struct {
 	// each run's fork point and its first transient injection — the
 	// quantity the ladder exists to shrink.
 	ReplayedCycles uint64
+	// Pruned counts faults whose verdict the engine proved without
+	// simulating (Plan.Pruned); no scratch was forked or reset for them.
+	Pruned uint64
 }
 
 func (f *ForkStats) add(o ForkStats) {
@@ -166,6 +169,7 @@ func (f *ForkStats) add(o ForkStats) {
 	f.CacheSetsRestored += o.CacheSetsRestored
 	f.RungHits += o.RungHits
 	f.ReplayedCycles += o.ReplayedCycles
+	f.Pruned += o.Pruned
 }
 
 // Rung is one checkpoint of a ladder: a frozen snapshot and the cycle it
@@ -287,6 +291,11 @@ type Plan[S Scratch[S]] struct {
 	// state-identical). lane, when profiling, takes the run's
 	// replay/faulty/classify spans. An error aborts the campaign.
 	Run func(s S, i int, lane *obs.Lane) (classify.Verdict, error)
+	// Pruned, when non-nil, returns fault i's verdict and true when the
+	// engine proves, without simulating, the verdict Run would return
+	// (exact stuck-at pruning). The kernel then skips Run and the
+	// scratch fork or reset, and counts the fault in ForkStats.Pruned.
+	Pruned func(i int) (classify.Verdict, bool)
 	// OnVerdict, when non-nil, observes every verdict as it completes. It
 	// is called concurrently from the workers and must not block.
 	OnVerdict func(i int, v classify.Verdict)
@@ -395,26 +404,35 @@ func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 					stats.CacheSetsRestored += sets
 				}
 			}
+			run := func(i int) (classify.Verdict, error) {
+				if p.Pruned != nil {
+					if v, ok := p.Pruned(i); ok {
+						stats.Pruned++
+						return v, nil
+					}
+				}
+				r := rungOf[i]
+				if r != scratchRung {
+					sp := lane.BeginID(obs.PhaseFork, int64(i))
+					retire()
+					scratch, scratchRung = rungs[r].Sys.Fork(), r
+					sp.End()
+					stats.Forks++
+				} else {
+					sp := lane.BeginID(obs.PhaseReset, int64(i))
+					scratch.Reset()
+					sp.End()
+					stats.ReuseHits++
+				}
+				if r > 0 {
+					stats.RungHits++
+				}
+				stats.ReplayedCycles += replay[i]
+				return p.Run(scratch, i, lane)
+			}
 			for i := range work {
 				if !failed.Load() {
-					r := rungOf[i]
-					if r != scratchRung {
-						sp := lane.BeginID(obs.PhaseFork, int64(i))
-						retire()
-						scratch, scratchRung = rungs[r].Sys.Fork(), r
-						sp.End()
-						stats.Forks++
-					} else {
-						sp := lane.BeginID(obs.PhaseReset, int64(i))
-						scratch.Reset()
-						sp.End()
-						stats.ReuseHits++
-					}
-					if r > 0 {
-						stats.RungHits++
-					}
-					stats.ReplayedCycles += replay[i]
-					v, err := p.Run(scratch, i, lane)
+					v, err := run(i)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil {

@@ -480,3 +480,44 @@ func TestLadderSkippedWithoutTransients(t *testing.T) {
 		t.Errorf("%d walks, accounting %+v; want no ladder", walks.Load(), sum.Forking)
 	}
 }
+
+// TestRunPrunedSkipsScratch: a fault Plan.Pruned decides takes its
+// verdict from there, reaches OnVerdict like any other, is counted in
+// ForkStats.Pruned and neither forks nor resets a scratch, on any worker
+// count.
+func TestRunPrunedSkipsScratch(t *testing.T) {
+	const n = 60
+	pruned := func(i int) bool { return i%4 != 1 }
+	for _, workers := range []int{1, 3} {
+		p := testPlan(t, n, 1, workers)
+		run := p.Run
+		p.Run = func(s *fakeScratch, i int, lane *obs.Lane) (classify.Verdict, error) {
+			if pruned(i) {
+				t.Errorf("pruned fault %d was run", i)
+			}
+			return run(s, i, lane)
+		}
+		p.Pruned = func(i int) (classify.Verdict, bool) {
+			if !pruned(i) {
+				return classify.Verdict{}, false
+			}
+			return verdictOf(i), true
+		}
+		var calls atomic.Int64
+		p.OnVerdict = func(int, classify.Verdict) { calls.Add(1) }
+		verdicts, sum, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range verdicts {
+			if v != verdictOf(i) {
+				t.Errorf("%d workers: verdict %d = %+v, want %+v", workers, i, v, verdictOf(i))
+			}
+		}
+		f := sum.Forking
+		if f.Pruned != 45 || f.Forks+f.ReuseHits != n-45 || calls.Load() != n {
+			t.Errorf("%d workers: pruned %d, forks %d + reuses %d, %d OnVerdict calls; want 45, 15 runs, %d calls",
+				workers, f.Pruned, f.Forks, f.ReuseHits, calls.Load(), n)
+		}
+	}
+}

@@ -95,7 +95,7 @@ func fillBlock(dst, src *cacheBlock) {
 // touches, and Clone and Fork copy only the block table. Lines and data
 // bytes are numbered cache-wide in set order (line set*ways+way, byte
 // line*LineBytes+offset): the numbering of fault bits, stuck bits and the
-// watchpoint. Block b holds lines [b*blockLines, (b+1)*blockLines).
+// observer's offsets. Block b holds lines [b*blockLines, (b+1)*blockLines).
 type Cache struct {
 	cfg       CacheConfig
 	sets      int
@@ -112,9 +112,8 @@ type Cache struct {
 
 	stuck []stuckBit
 
-	watchArmed bool
-	watchByte  uint64 // cache-wide byte index
-	watchState core.WatchState
+	// obs, when armed, observes the data array's ports (see Observe).
+	obs core.PortObserver
 
 	// Fork support: golden points at the frozen checkpoint cache this one
 	// was forked from; setDirty/dirtySets journal the sets written since
@@ -260,18 +259,22 @@ func (c *Cache) fill(blk *cacheBlock, base, set int, addr uint64) (int, int, err
 	lat := 0
 	if way < 0 {
 		way = plruVictim(*c.plru(blk, set), ways)
-		i := set*ways + way
+		at := uint64((set*ways + way) * c.cfg.LineBytes)
 		if lines[way].dirty {
 			victimAddr := c.lineAddr(set, lines[way].tag)
-			// A dirty faulty line escaping to the lower level can still
-			// influence the outcome: it is not a dead fault.
-			c.watchTouch(i, true)
-			if _, err := c.lower.writeLine(victimAddr, c.lineData(blk, base+way)); err != nil {
+			// The writeback reads the whole victim line: a faulty dirty
+			// line escaping to the lower level can still influence the
+			// outcome.
+			data := c.lineData(blk, base+way)
+			if c.obs != nil {
+				c.obs.Read(at, data)
+			}
+			if _, err := c.lower.writeLine(victimAddr, data); err != nil {
 				return 0, 0, err
 			}
 			c.Stats.Writebacks++
-		} else {
-			c.watchKill(i)
+		} else if c.obs != nil {
+			c.obs.Overwrite(at, uint64(c.cfg.LineBytes))
 		}
 	}
 	i := set*ways + way
@@ -281,8 +284,10 @@ func (c *Cache) fill(blk *cacheBlock, base, set int, addr uint64) (int, int, err
 		return 0, 0, err
 	}
 	lat += low
-	// The refill overwrites any pending fault in this frame.
-	c.watchKill(i)
+	if c.obs != nil {
+		// The refill overwrites whatever the frame held.
+		c.obs.Overwrite(uint64(i*c.cfg.LineBytes), uint64(c.cfg.LineBytes))
+	}
 	lines[way] = cacheLine{tag: c.tagOf(addr), valid: true}
 	c.applyStuck(i)
 	return way, lat, nil
@@ -320,13 +325,19 @@ func (c *Cache) Access(addr uint64, buf []byte, write bool) (int, error) {
 	off := (base+way)*c.cfg.LineBytes + lineOff
 	at := uint64(i*c.cfg.LineBytes + lineOff)
 	if write {
-		c.watchOverwrite(at, len(buf))
+		if c.obs != nil {
+			c.obs.Overwrite(at, uint64(len(buf)))
+		}
 		copy(blk.data[off:], buf)
 		blk.lines[base+way].dirty = true
 		c.applyStuck(i)
 	} else {
-		c.watchRead(at, len(buf))
 		copy(buf, blk.data[off:])
+		if c.obs != nil {
+			// Report the cache's own bytes: handing buf to the observer
+			// would move every caller's buffer to the heap.
+			c.obs.Read(at, blk.data[off:off+len(buf)])
+		}
 	}
 	return lat, nil
 }
@@ -341,33 +352,12 @@ func (c *Cache) writeLine(addr uint64, data []byte) (int, error) {
 	return c.Access(addr, data, true)
 }
 
-// FlushTo writes every dirty line back to the lower level, leaving the
-// cache clean but still valid. Nothing in the simulator calls it: program
-// output and final images are read coherently through Hierarchy.ReadBack
-// instead, which leaves every cache as it is.
-func (c *Cache) FlushTo() error {
-	for set := 0; set < c.sets; set++ {
-		blk, base := c.block(set)
-		if blk == nil {
-			continue
-		}
-		for w := 0; w < c.cfg.Ways; w++ {
-			if l := blk.lines[base+w]; l.valid && l.dirty {
-				blk, base = c.writeSet(set)
-				if _, err := c.lower.writeLine(c.lineAddr(set, l.tag), c.lineData(blk, base+w)); err != nil {
-					return err
-				}
-				blk.lines[base+w].dirty = false
-			}
-		}
-	}
-	return nil
-}
-
 // Peek reads bytes without affecting state or timing; ok is false when the
-// line is absent.
+// line is absent. It is a read port all the same: ReadBack extracts
+// program output through it.
 func (c *Cache) Peek(addr uint64, buf []byte) bool {
-	blk, base := c.block(c.setOf(addr))
+	set := c.setOf(addr)
+	blk, base := c.block(set)
 	if blk == nil {
 		return false
 	}
@@ -375,8 +365,12 @@ func (c *Cache) Peek(addr uint64, buf []byte) bool {
 	if !hit {
 		return false
 	}
-	off := (base+way)*c.cfg.LineBytes + int(addr&uint64(c.cfg.LineBytes-1))
-	copy(buf, blk.data[off:])
+	lineOff := int(addr & uint64(c.cfg.LineBytes-1))
+	off := (base+way)*c.cfg.LineBytes + lineOff
+	n := copy(buf, blk.data[off:])
+	if c.obs != nil {
+		c.obs.Read(uint64((set*c.cfg.Ways+way)*c.cfg.LineBytes+lineOff), blk.data[off:off+n])
+	}
 	return true
 }
 
@@ -385,12 +379,13 @@ func (c *Cache) Peek(addr uint64, buf []byte) bool {
 // with the receiver, and the receiver gives up ownership of its blocks,
 // so that it may keep running without writing a shared block in place
 // (see cowTable.clone). The clone is a standalone cache: fork journaling
-// does not carry over.
+// and the observer do not carry over.
 func (c *Cache) Clone(lower level) *Cache {
 	n := *c
 	n.blocks = c.blocks.clone()
 	n.stuck = append([]stuckBit(nil), c.stuck...)
 	n.lower = lower
+	n.obs = nil
 	n.golden = nil
 	n.setDirty = nil
 	n.dirtySets = nil
@@ -409,6 +404,7 @@ func (c *Cache) Fork(lower level) *Cache {
 	n.blocks = c.blocks.fork()
 	n.stuck = append([]stuckBit(nil), c.stuck...)
 	n.lower = lower
+	n.obs = nil
 	n.golden = c
 	n.setDirty = make([]bool, c.sets)
 	n.dirtySets = make([]int, 0, 64)
@@ -427,7 +423,7 @@ func (c *Cache) markSet(set int) {
 // ResetToGolden restores a forked cache to its golden checkpoint state:
 // the blocks of the journaled sets get their golden block pointers back
 // (no copying; the fork keeps its private buffers as spares), and stats
-// and fault state (stuck bits, watchpoint) are reset wholesale.
+// and fault state (stuck bits, observer) are reset wholesale.
 func (c *Cache) ResetToGolden() {
 	g := c.golden
 	if g == nil {
@@ -441,9 +437,7 @@ func (c *Cache) ResetToGolden() {
 	c.blocks.reset()
 	c.Stats = g.Stats
 	c.stuck = append(c.stuck[:0], g.stuck...)
-	c.watchArmed = g.watchArmed
-	c.watchByte = g.watchByte
-	c.watchState = g.watchState
+	c.obs = nil
 }
 
 // SetsRestored returns the cumulative number of journaled sets
@@ -507,46 +501,11 @@ func (c *Cache) applyStuckByte(sb stuckBit) {
 	data[j] = data[j]&^sb.mask | sb.value
 }
 
-// Watch implements core.Target.
-func (c *Cache) Watch(bit uint64) {
-	c.watchArmed = true
-	c.watchByte = bit / 8
-	c.watchState = core.WatchPending
-}
+// Observe implements core.Observable. The read ports are Access reads
+// (loads, fetches and upper-level refills), dirty-victim writebacks and
+// Peek; the overwrite ports are Access writes, clean-victim evictions and
+// refills. A stuck bit is re-applied at every write, so the cache has no
+// lazy enforcement port.
+func (c *Cache) Observe(o core.PortObserver) { c.obs = o }
 
-// WatchState implements core.Target.
-func (c *Cache) WatchState() core.WatchState { return c.watchState }
-
-func (c *Cache) watchRead(off uint64, n int) {
-	if c.watchArmed && c.watchState == core.WatchPending &&
-		c.watchByte >= off && c.watchByte < off+uint64(n) {
-		c.watchState = core.WatchRead
-	}
-}
-
-func (c *Cache) watchOverwrite(off uint64, n int) {
-	if c.watchArmed && c.watchState == core.WatchPending &&
-		c.watchByte >= off && c.watchByte < off+uint64(n) {
-		c.watchState = core.WatchDead
-	}
-}
-
-// watchTouch marks the watched fault as escaped (written back) when the
-// victim line contains it; kill instead records a provably dead fault.
-func (c *Cache) watchTouch(lineIdx int, escaped bool) {
-	if !c.watchArmed || c.watchState != core.WatchPending {
-		return
-	}
-	lo := uint64(lineIdx * c.cfg.LineBytes)
-	if c.watchByte >= lo && c.watchByte < lo+uint64(c.cfg.LineBytes) {
-		if escaped {
-			c.watchState = core.WatchRead
-		} else {
-			c.watchState = core.WatchDead
-		}
-	}
-}
-
-func (c *Cache) watchKill(lineIdx int) { c.watchTouch(lineIdx, false) }
-
-var _ core.Target = (*Cache)(nil)
+var _ core.Observable = (*Cache)(nil)

@@ -55,6 +55,8 @@ func (r *refCache) clone() *refCache {
 	n.stuck = append([]stuckBit(nil), r.stuck...)
 	n.mem = bytes.Clone(r.mem)
 	n.written = map[int]bool{}
+	// Clones, forks and resets start unobserved.
+	n.watchArmed, n.watch = false, core.WatchPending
 	return &n
 }
 
@@ -142,8 +144,9 @@ type cacheView struct {
 	c      *Cache
 	m      *Memory
 	model  *refCache
-	golden *refCache // nil unless c is a fork
-	frozen bool      // forked from: must not be written or reset again
+	golden *refCache   // nil unless c is a fork
+	frozen bool        // forked from: must not be written or reset again
+	watch  *core.Watch // the last watch armed on c, nil if none
 }
 
 // checkCacheView compares every line, PLRU word, data byte, counter and
@@ -180,8 +183,8 @@ func checkCacheView(t *testing.T, i int, v *cacheView, memBuf, line []byte) {
 	if c.Stats != r.stats {
 		t.Fatalf("view %d: stats %+v, model %+v", i, c.Stats, r.stats)
 	}
-	if c.WatchState() != r.watch {
-		t.Fatalf("view %d: watch state %v, model %v", i, c.WatchState(), r.watch)
+	if v.watch != nil && v.watch.State() != r.watch {
+		t.Fatalf("view %d: watch state %v, model %v", i, v.watch.State(), r.watch)
 	}
 	if err := v.m.Read(0, memBuf); err != nil {
 		t.Fatal(err)
@@ -314,7 +317,8 @@ func FuzzCachePaging(f *testing.F) {
 					continue
 				}
 				bit := x % v.c.BitLen()
-				v.c.Watch(bit)
+				v.watch = core.NewWatch(bit)
+				v.c.Observe(v.watch)
 				v.model.watchArmed, v.model.watchByte, v.model.watch = true, bit/8, core.WatchPending
 			case 5: // Clone
 				if len(views) < maxViews {
@@ -344,7 +348,11 @@ func FuzzCachePaging(f *testing.F) {
 				if got, want := v.c.SetsRestored()-restored, uint64(len(v.model.written)); got != want {
 					t.Fatalf("reset restored %d sets, model journaled %d", got, want)
 				}
+				// The reset cache drops its observer: the last watch
+				// keeps the state it had.
+				watch := v.model.watch
 				v.model = v.golden.clone()
+				v.model.watch = watch
 			}
 			for i, w := range views {
 				checkCacheView(t, i, w, memBuf, line)

@@ -139,26 +139,6 @@ func TestWritebackReachesMemory(t *testing.T) {
 	}
 }
 
-func TestFlushTo(t *testing.T) {
-	h := testHier(t)
-	if _, err := h.Store(0x80, []byte{0x42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.L1D.FlushTo(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.L2.FlushTo(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 1)
-	if err := h.Mem.Read(0x80, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0x42 {
-		t.Fatalf("memory after flush: %#x", got[0])
-	}
-}
-
 func TestReadBackPrefersNewest(t *testing.T) {
 	h := testHier(t)
 	if _, err := h.Store(0x500, []byte{1}); err != nil {
@@ -301,24 +281,26 @@ func TestCacheWatchLifecycle(t *testing.T) {
 		t.Fatal("frame not found")
 	}
 
-	c.Watch(frame)
-	if c.WatchState() != core.WatchPending {
+	w := core.NewWatch(frame)
+	c.Observe(w)
+	if w.State() != core.WatchPending {
 		t.Fatal("watch should start pending")
 	}
 	buf := make([]byte, 1)
 	if _, err := h.Load(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if c.WatchState() != core.WatchRead {
-		t.Fatalf("watch after read = %v, want read", c.WatchState())
+	if w.State() != core.WatchRead {
+		t.Fatalf("watch after read = %v, want read", w.State())
 	}
 
-	c.Watch(frame)
+	w = core.NewWatch(frame)
+	c.Observe(w)
 	if _, err := h.Store(0, []byte{0x11}); err != nil {
 		t.Fatal(err)
 	}
-	if c.WatchState() != core.WatchDead {
-		t.Fatalf("watch after overwrite = %v, want dead", c.WatchState())
+	if w.State() != core.WatchDead {
+		t.Fatalf("watch after overwrite = %v, want dead", w.State())
 	}
 }
 
@@ -644,7 +626,8 @@ func TestCacheForkResetToGolden(t *testing.T) {
 	}
 	f.L1D.Flip(123)
 	f.L1D.Stick(4567, 1)
-	f.L1D.Watch(123)
+	w := core.NewWatch(123)
+	f.L1D.Observe(w)
 	f.Reset()
 
 	// After reset the fork must be indistinguishable from the checkpoint.
@@ -664,8 +647,15 @@ func TestCacheForkResetToGolden(t *testing.T) {
 	if f.L1D.Stats != golden.L1D.Stats {
 		t.Fatalf("stats not restored: %+v vs %+v", f.L1D.Stats, golden.L1D.Stats)
 	}
-	if f.L1D.WatchState() != golden.L1D.WatchState() {
-		t.Fatal("watchpoint survived reset")
+	// Read every line the L1D holds: an armed observer would see the
+	// watched frame read.
+	for i := 0; i < 64; i++ {
+		if _, err := f.Load(uint64(i*64), make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.State() != core.WatchPending {
+		t.Fatal("observer survived reset")
 	}
 	if _, sets := f.ForkCounters(); sets == 0 {
 		t.Fatal("reset restored no cache sets despite mutations")

@@ -223,3 +223,19 @@ func TestDebugMuxEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestPrunedCounterExposed: stuck-at faults decided by exact pruning
+// reach the registry snapshot and the Prometheus exposition.
+func TestPrunedCounterExposed(t *testing.T) {
+	reg := NewRegistry()
+	reg.Pruned.Add(3)
+	if got := reg.Snapshot().Pruned; got != 3 {
+		t.Fatalf("snapshot pruned = %d, want 3", got)
+	}
+	var b strings.Builder
+	WritePrometheus(&b, reg, NewRegistrySet())
+	checkPromExposition(t, b.String())
+	if !strings.Contains(b.String(), "marvel_pruned_total 3\n") {
+		t.Fatalf("exposition lacks marvel_pruned_total 3:\n%s", b.String())
+	}
+}

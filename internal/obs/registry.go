@@ -98,9 +98,11 @@ type Registry struct {
 	// HVFCorrupt counts runs whose commit trace diverged from golden.
 	HVFCorrupt Counter
 
-	// Fork-pool health (from campaign/accel ForkStats).
+	// Fork-pool health (from campaign/accel ForkStats). Pruned counts
+	// stuck-at faults decided by exact pruning, without a faulty run.
 	Forks      Counter
 	ForkReuses Counter
+	Pruned     Counter
 	// Checkpoint-ladder health: RungHits counts faulty runs dispatched
 	// from a mid-window rung, ReplayedCycles totals pre-injection cycles
 	// replayed between fork points and injection cycles.
@@ -212,6 +214,7 @@ type RegistrySnapshot struct {
 	Forks          uint64           `json:"forks"`
 	ForkReuses     uint64           `json:"fork_reuses"`
 	ForkReuseRate  float64          `json:"fork_reuse_rate"`
+	Pruned         uint64           `json:"pruned"`
 	RungHits       uint64           `json:"rung_hits"`
 	ReplayedCycles uint64           `json:"replayed_cycles"`
 	GoldenRuns     uint64           `json:"golden_runs"`
@@ -246,6 +249,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		Forks:          r.Forks.Load(),
 		ForkReuses:     r.ForkReuses.Load(),
 		ForkReuseRate:  r.ForkReuseRate(),
+		Pruned:         r.Pruned.Load(),
 		RungHits:       r.RungHits.Load(),
 		ReplayedCycles: r.ReplayedCycles.Load(),
 		GoldenRuns:     r.GoldenRuns.Load(),

@@ -533,6 +533,7 @@ func Run(spec Spec) (_ *Result, err error) {
 						spec.Metrics.GoldenRuns.Inc()
 					}
 					spec.Metrics.AddForkStats(fc.Forks, fc.ReuseHits)
+					spec.Metrics.Pruned.Add(fc.Pruned)
 					spec.Metrics.AddLadderStats(fc.RungHits, fc.ReplayedCycles)
 					spec.Metrics.CellLatencyMS.Observe(uint64(rep.WallMS))
 				}

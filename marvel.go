@@ -244,6 +244,10 @@ type Report struct {
 	ForkReuses   uint64
 	PagesCopied  uint64
 	SetsRestored uint64
+	// Pruned counts stuck-at faults whose verdict exact pruning proved
+	// without a faulty run (the golden's own verdict: each such bit held
+	// its stuck value at every port that read it); they fork nothing.
+	Pruned uint64
 	// Checkpoint-ladder stats (see CampaignOptions.LadderRungs): Rungs is
 	// how many mid-window rungs were available, RungHits how many runs
 	// forked from one, ReplayedCycles the total pre-injection cycles
@@ -296,6 +300,7 @@ func RunCampaign(o CampaignOptions) (*Report, error) {
 		ForkReuses:     c.Forking.ReuseHits,
 		PagesCopied:    c.Forking.PagesCopied,
 		SetsRestored:   c.Forking.CacheSetsRestored,
+		Pruned:         c.Forking.Pruned,
 		Rungs:          c.Forking.Rungs,
 		RungHits:       c.Forking.RungHits,
 		ReplayedCycles: c.Forking.ReplayedCycles,

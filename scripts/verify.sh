@@ -12,7 +12,9 @@
 #      checkpoint-ladder differential suite)
 #   3. sweep race job + differential guard: the orchestrator's two-level
 #      parallelism, golden-cache reuse and resume must be race-free and
-#      bit-identical to standalone campaigns; adaptive confidence-targeted
+#      bit-identical to standalone campaigns; every stuck-at fault exact
+#      pruning skips must classify as its full run, and every storage
+#      port must reach the read summary; adaptive confidence-targeted
 #      sizing must be schedule-independent and a bit-identical prefix of
 #      the fixed-budget run, and must demonstrably save >= 30% of the
 #      worst-case budget at equal margin
@@ -82,6 +84,10 @@ go test -race -count=3 -run '^TestLadder' ./internal/dispatch
 echo "== race: parallel campaign determinism =="
 go test -race -run 'TestCampaignWorkerCountInvariance|TestForkCloneEquivalence' ./internal/campaign
 go test -race -run 'TestTracingDoesNotChangeVerdicts|TestForkStatsUnderParallelWorkers' ./internal/campaign
+# Concurrent stuck-at campaigns over one shared golden each build their
+# own read summary for exact pruning: race-free, and each equal to the
+# campaign run alone.
+go test -race -count=3 -run '^TestPruningConcurrentCampaignsSharedGolden$' ./internal/campaign
 
 echo "== race: parallel accel campaign determinism =="
 go test -race -run 'TestAccelCampaignWorkerInvariance|TestStandaloneForkResetEquivalence' ./internal/accel
@@ -160,6 +166,20 @@ go test -race ./internal/obs
 for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCPUDigestsPinned TestAccelDigestsPinned; do
 	go test -run "^${t}\$" -v ./internal/sweep | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: differential guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
+# Exact stuck-at pruning: every pruned fault, run the full way, must get
+# the identical verdict, and every read, overwrite and enforcement port
+# of the cache, register file, load/store queues and accelerator banks
+# must reach the read summary.
+go test -run '^TestStuckAtPruningDifferential$' -v ./internal/campaign | grep -q -- '--- PASS: TestStuckAtPruningDifferential' || {
+	echo "verify: differential guard: TestStuckAtPruningDifferential did not run/pass" >&2
+	exit 1
+}
+for pkg in mem cpu accel; do
+	go test -run '^TestPortCompleteness$' -v "./internal/$pkg" | grep -q -- '--- PASS: TestPortCompleteness' || {
+		echo "verify: port-completeness guard: TestPortCompleteness did not run/pass in internal/$pkg" >&2
 		exit 1
 	}
 done
