@@ -562,8 +562,8 @@ func cmdAccel(args []string) error {
 	}
 	fmt.Printf("masked=%d sdc=%d crash=%d\n", rep.Masked, rep.SDC, rep.Crash)
 	fmt.Printf("AVF=%.4f (SDC %.4f + Crash %.4f)\n", rep.AVF, rep.SDCAVF, rep.CrashAVF)
-	fmt.Printf("forking: fork-reset, %d forks, %d reuses, %d pages copied\n",
-		rep.Forks, rep.ForkReuses, rep.PagesCopied)
+	fmt.Printf("forking: fork-reset, %d forks, %d reuses, %d pages copied, %d pruned\n",
+		rep.Forks, rep.ForkReuses, rep.PagesCopied, rep.Pruned)
 	if rep.Rungs > 0 {
 		fmt.Printf("ladder: %d rungs, %d rung hits, %d cycles replayed pre-injection\n",
 			rep.Rungs, rep.RungHits, rep.ReplayedCycles)

@@ -178,6 +178,9 @@ func TestFacadeRunSweep(t *testing.T) {
 // pruning came in: its three Masked faults are pruned, so they no longer
 // reset a scratch (ForkReuses 31 -> 28) or dirty cache sets a later
 // reset restores (SetsRestored 813 -> 687); its verdicts are unchanged.
+// The accelerator cases' fork counters were re-pinned when pruning came
+// to the accelerator: 9, 9 and 7 of their 16 faults are pruned, so they
+// fork, reset, copy and replay nothing; every verdict field is unchanged.
 func TestFacadeReportsPinned(t *testing.T) {
 	cpu := []struct {
 		name string
@@ -239,8 +242,8 @@ func TestFacadeReportsPinned(t *testing.T) {
 			Design: "gemm", Component: "MATRIX1", Faults: 16, Masked: 9, SDC: 7, AVF: 0.4375,
 			SDCAVF: 0.4375, Margin: 0.24477556561902133, Z: 1.96,
 			AchievedMargin: 0.23071804393223472, Requested: 16, Batches: 1, TaskCycles: 5843,
-			AreaUnits: 35.699999999999996, Forks: 5, ForkReuses: 11, PagesCopied: 16, Rungs: 4,
-			RungHits: 14, ReplayedCycles: 11301,
+			AreaUnits: 35.699999999999996, Forks: 4, ForkReuses: 3, PagesCopied: 7, Pruned: 9, Rungs: 4,
+			RungHits: 5, ReplayedCycles: 4846,
 		}},
 		{"gemm with 4 multipliers", marvel.AccelOptions{
 			Design: "gemm", Component: "MATRIX1", Faults: 16, Seed: 2, GemmMultipliers: 4, Workers: 1,
@@ -248,8 +251,8 @@ func TestFacadeReportsPinned(t *testing.T) {
 			Design: "gemm", Component: "MATRIX1", Faults: 16, Masked: 9, SDC: 7, AVF: 0.4375,
 			SDCAVF: 0.4375, Margin: 0.24477556561902133, Z: 1.96,
 			AchievedMargin: 0.23071804393223472, Requested: 16, Batches: 1, TaskCycles: 5843,
-			AreaUnits: 35.699999999999996, Forks: 1, ForkReuses: 15, PagesCopied: 16,
-			ReplayedCycles: 53364,
+			AreaUnits: 35.699999999999996, Forks: 1, ForkReuses: 6, PagesCopied: 7, Pruned: 9,
+			ReplayedCycles: 16530,
 		}},
 		{"gemm with 1 multiplier", marvel.AccelOptions{
 			Design: "gemm", Component: "MATRIX1", Faults: 16, Seed: 2, GemmMultipliers: 1, Workers: 1,
@@ -257,8 +260,8 @@ func TestFacadeReportsPinned(t *testing.T) {
 			Design: "gemm", Component: "MATRIX1", Faults: 16, Masked: 7, SDC: 9, AVF: 0.5625,
 			SDCAVF: 0.5625, Margin: 0.24477556561902133, Z: 1.96,
 			AchievedMargin: 0.23071804393223483, Requested: 16, Batches: 1, TaskCycles: 17637,
-			AreaUnits: 19.199999999999996, Forks: 1, ForkReuses: 15, PagesCopied: 16,
-			ReplayedCycles: 152437,
+			AreaUnits: 19.199999999999996, Forks: 1, ForkReuses: 8, PagesCopied: 9, Pruned: 7,
+			ReplayedCycles: 57139,
 		}},
 	}
 	for _, tc := range accel {

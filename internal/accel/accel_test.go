@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"marvel/internal/classify"
 	"marvel/internal/core"
 	"marvel/internal/program/ir"
 )
@@ -188,6 +189,48 @@ func TestOutOfBankAccessFaults(t *testing.T) {
 	err = s.Run(100000)
 	if err == nil {
 		t.Fatal("out-of-bank access must fault (the BFS crash mechanism)")
+	}
+}
+
+// TestBankContainsWrapEdge: an access whose end wraps past 2^64 lies
+// outside a bank at base 0, so it faults the engine instead of slicing
+// out of range.
+func TestBankContainsWrapEdge(t *testing.T) {
+	bank := NewBank(BankSpec{Name: "IN", Kind: SPM, Base: 0, Size: 16})
+	for _, c := range []struct {
+		addr uint64
+		n    int
+		in   bool
+	}{
+		{0, 16, true}, {12, 4, true}, {13, 4, false}, {16, 0, true}, {0, 17, false},
+		{math.MaxUint64 - 3, 4, false}, {math.MaxUint64, 1, false}, {math.MaxUint64 - 15, 16, false},
+	} {
+		if got := bank.Contains(c.addr, c.n); got != c.in {
+			t.Errorf("Contains(%#x, %d) = %v, want %v", c.addr, c.n, got, c.in)
+		}
+	}
+	if err := bank.Read(math.MaxUint64-3, make([]byte, 4)); err == nil {
+		t.Error("read at 0xFFFFFFFFFFFFFFFC of a bank at base 0 succeeded")
+	}
+
+	b := ir.New("wrap")
+	b.Load(b.Const(-4), 0, 4, false)
+	b.Halt()
+	d := &Design{
+		Name:   "wrap",
+		Kernel: b.MustProgram(),
+		Banks:  []BankSpec{{Name: "IN", Kind: SPM, Base: 0, Size: 64}},
+		FUs:    DefaultFUs(),
+	}
+	s, err := NewStandalone(d, Task{Bufs: []HostBuf{{Arg: 0, Addr: 0x1000, Len: 64}}, OutArg: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(100000); err == nil || s.Cluster.Faulted() == nil {
+		t.Fatalf("a load at 0xFFFFFFFFFFFFFFFC must fault the engine, got %v", err)
+	}
+	if v := classifyFaulty(s, 100000, nil); v.Outcome != classify.Crash || v.CrashCode != "accel-fault" {
+		t.Errorf("wrapped load classified %+v, want an accel-fault crash", v)
 	}
 }
 

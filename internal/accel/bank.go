@@ -84,9 +84,12 @@ func (b *Bank) Latency() int {
 	return 1
 }
 
-// Contains reports whether [addr, addr+n) falls inside the bank.
+// Contains reports whether [addr, addr+n) falls inside the bank. It
+// compares offsets, never addr+n, which wraps past 2^64 for an address
+// near the top of the space (a faulted pointer, say).
 func (b *Bank) Contains(addr uint64, n int) bool {
-	return addr >= b.spec.Base && addr-b.spec.Base+uint64(n) <= uint64(len(b.data))
+	size := uint64(len(b.data))
+	return addr >= b.spec.Base && uint64(n) <= size && addr-b.spec.Base <= size-uint64(n)
 }
 
 // Read copies bytes out of the bank.

@@ -43,7 +43,8 @@ type CampaignConfig struct {
 	// faulty run. With Workers > 1 the sink must be safe for concurrent
 	// Emit calls and events from different runs interleave; single-run
 	// narration (ExplainWithGolden) arms its own sink. Tracing does not change
-	// verdicts — emission sites only observe.
+	// verdicts — emission sites only observe. A traced campaign simulates
+	// every fault: exact pruning is off.
 	Trace obs.Tracer
 	// Profile, when non-nil, attributes wall-clock time to campaign
 	// phases (golden/ladder prep, fork, reset, residual replay, faulty
@@ -190,6 +191,7 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 		Run: func(s *Standalone, i int, lane *obs.Lane) (classify.Verdict, error) {
 			return runFaulty(s, in.bankIdx, faults[i], in.cycleBudget, g.Output, cfg.Trace, lane, int64(i)), nil
 		},
+		Prune:     g.pruner(cfg, in, faults),
 		OnVerdict: cfg.OnVerdict,
 		Profile:   cfg.Profile,
 	})
@@ -209,6 +211,58 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 		res.Records[i] = Record{Fault: faults[i], Verdict: v}
 	}
 	return res, nil
+}
+
+// pruner returns the kernel's exact pruning pass for an untraced
+// campaign, or nil. The pass runs the golden task on the kernel's fork of
+// its start rung (rung 0, before DMA-in, when the faults are stuck-at;
+// the latest rung strictly before the earliest injection when they are
+// transient) with a core.GoldenWatch armed on the target bank, until the
+// task ends or no fault is pending. A fault the watch never saw read
+// leaves the faulty run identical to the golden run:
+//   - a stuck-at-v bit that every read of its byte returned as v changes
+//     no value the run reads;
+//   - a transient flip lands inside Cluster.Tick after the clock advances
+//     and before that tick's DMA or engine accesses, so the first access
+//     to its byte at its cycle or later is the first that can see it: an
+//     overwrite erases the flip, and no access at all leaves it unseen.
+//
+// Such a fault gets the golden's verdict, Masked at g.Cycles. The watch
+// lives for this one pass: nothing is kept on the shared golden.
+func (g *CampaignGolden) pruner(cfg CampaignConfig, in injection, faults []core.Fault) func(*Standalone) (func(int) (classify.Verdict, bool), error) {
+	if cfg.Trace != nil {
+		return nil
+	}
+	return func(s *Standalone) (func(int) (classify.Verdict, bool), error) {
+		w := core.NewGoldenWatch(faults, in.bits, s.Cluster.Cycle)
+		s.Cluster.Banks()[in.bankIdx].Observe(w)
+		if !s.Cluster.Started() {
+			s.Cluster.Start()
+		}
+		for w.Pending() > 0 && !s.Cluster.Done() && s.Cluster.Cycle() < in.cycleBudget {
+			s.Cluster.Tick()
+		}
+		golden := classify.Verdict{Outcome: classify.Masked, Cycles: g.Cycles}
+		if w.Pending() > 0 {
+			// The pass reached the end of the task: it must be the golden
+			// run's end.
+			if v := classifyFaulty(s, in.cycleBudget, g.Output); v != golden {
+				return nil, fmt.Errorf("accel: golden observation run ends %v at cycle %d, the golden run Masked at %d", v.Outcome, v.Cycles, g.Cycles)
+			}
+		}
+		// Keep only which faults were read: the watch's clock holds the
+		// pass's fork, which can then be freed.
+		read := make([]bool, len(faults))
+		for i := range read {
+			read[i] = w.State(i) == core.WatchRead
+		}
+		return func(i int) (classify.Verdict, bool) {
+			if read[i] {
+				return classify.Verdict{}, false
+			}
+			return golden, true
+		}, nil
+	}
 }
 
 // injection is what every faulty run of one campaign shares: the target

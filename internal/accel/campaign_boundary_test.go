@@ -240,8 +240,8 @@ func TestAccelCampaignWorkerInvariance(t *testing.T) {
 		if got.Forking.Forks > uint64(workers) {
 			t.Fatalf("workers=%d: %d forks, want at most one per worker", workers, got.Forking.Forks)
 		}
-		if got.Forking.Forks+got.Forking.ReuseHits != 40 {
-			t.Fatalf("workers=%d: forks+reuses = %d, want 40", workers, got.Forking.Forks+got.Forking.ReuseHits)
+		if f := got.Forking; f.Forks+f.ReuseHits+f.Pruned != 40 {
+			t.Fatalf("workers=%d: forks+reuses+pruned = %d, want 40", workers, f.Forks+f.ReuseHits+f.Pruned)
 		}
 	}
 }

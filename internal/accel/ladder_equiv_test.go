@@ -102,7 +102,8 @@ func TestAccelLadderEquivalenceWindowOverride(t *testing.T) {
 
 // TestAccelLadderForkStatsAccounting: the ladder must actually be used
 // (rung hits > 0) and must reduce replayed pre-injection cycles versus
-// the flat campaign, with every fault accounted a fork or a reuse.
+// the flat campaign, with every fault accounted a fork, a reuse or a
+// pruned fault.
 func TestAccelLadderForkStatsAccounting(t *testing.T) {
 	spec, err := machsuite.ByName("gemm")
 	if err != nil {
@@ -120,8 +121,8 @@ func TestAccelLadderForkStatsAccounting(t *testing.T) {
 	if f.RungHits == 0 {
 		t.Error("no faulty run ever forked from a mid-window rung")
 	}
-	if f.Forks+f.ReuseHits != 32 {
-		t.Errorf("forks(%d) + reuses(%d) != faults(32)", f.Forks, f.ReuseHits)
+	if f.Forks+f.ReuseHits+f.Pruned != 32 {
+		t.Errorf("forks(%d) + reuses(%d) + pruned(%d) != faults(32)", f.Forks, f.ReuseHits, f.Pruned)
 	}
 	if f.ReplayedCycles >= flat.Forking.ReplayedCycles {
 		t.Errorf("ladder replayed %d pre-injection cycles, flat campaign %d — the ladder should replay less",

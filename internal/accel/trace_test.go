@@ -102,7 +102,7 @@ func TestAccelExplainReproducesVerdict(t *testing.T) {
 
 // TestAccelForkStatsUnderParallelWorkers exercises the atomic ForkStats
 // flush with many workers; under -race it proves the aggregation is
-// data-race-free, and the totals must account for every faulty run.
+// data-race-free, and the totals must account for every fault.
 func TestAccelForkStatsUnderParallelWorkers(t *testing.T) {
 	cfg := gemmCampaignConfig(t, 32)
 	cfg.Workers = 8
@@ -114,7 +114,7 @@ func TestAccelForkStatsUnderParallelWorkers(t *testing.T) {
 	if f.Forks == 0 {
 		t.Fatal("no forks recorded")
 	}
-	if f.Forks+f.ReuseHits != 32 {
-		t.Fatalf("forks %d + reuses %d != 32 faulty runs", f.Forks, f.ReuseHits)
+	if f.Forks+f.ReuseHits+f.Pruned != 32 {
+		t.Fatalf("forks %d + reuses %d + pruned %d != 32 faults", f.Forks, f.ReuseHits, f.Pruned)
 	}
 }

@@ -237,10 +237,6 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pruned, err := pruner(cfg, g, masks)
-	if err != nil {
-		return nil, err
-	}
 
 	verdicts, sum, err := dispatch.Run(dispatch.Plan[*soc.System]{
 		Sizing: cfg.Sizing,
@@ -250,7 +246,7 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 		Run: func(s *soc.System, i int, lane *obs.Lane) (classify.Verdict, error) {
 			return runOne(cfg, s, g, masks[i], lane)
 		},
-		Pruned:    pruned,
+		Prune:     pruner(cfg, g, masks),
 		OnVerdict: cfg.OnVerdict,
 		Profile:   cfg.Profile,
 	})
@@ -284,77 +280,79 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	return res, nil
 }
 
-// pruner returns the kernel's exact stuck-at pruning for an untraced
-// campaign whose masks are all permanent, or nil. It runs the golden
-// once more from the window start (the fork point of every permanent
-// fault) with a core.ReadSummary armed on each target. A mask whose
-// every fault is a stuck-at-v bit that held v at every port the summary
-// saw leaves the faulty run identical to the golden run, so its verdict
-// is the golden's. The summaries belong to this campaign alone: they are
-// not kept on the Golden, which stays immutable and shared.
-func pruner(cfg Config, g *Golden, masks []core.Mask) (func(int) (classify.Verdict, bool), error) {
+// pruner returns the kernel's exact stuck-at pruning pass for an
+// untraced campaign whose masks are all permanent on observable targets,
+// or nil. The pass runs the golden once more from the window start (the
+// fork point of every permanent fault) with a core.ReadSummary armed on
+// each target. A mask whose every fault is a stuck-at-v bit that held v
+// at every port the summary saw leaves the faulty run identical to the
+// golden run, so its verdict is the golden's. The summaries belong to
+// this campaign alone: they are not kept on the Golden, which stays
+// immutable and shared.
+func pruner(cfg Config, g *Golden, masks []core.Mask) func(*soc.System) (func(int) (classify.Verdict, bool), error) {
 	if cfg.Trace != nil {
-		return nil, nil
+		return nil
 	}
 	for _, m := range masks {
 		if _, transient := firstTransientCycle(m); transient {
-			return nil, nil
+			return nil
 		}
 	}
-	sp := cfg.Profile.NewLane("golden").Begin(obs.PhaseGolden)
-	defer sp.End()
-	s := g.base.Clone()
-	sums := map[string]*core.ReadSummary{}
 	for _, name := range targetNames(cfg) {
-		if sums[name] != nil {
-			continue
+		t, err := TargetOf(g.base, name)
+		if _, ok := t.(core.Observable); err != nil || !ok {
+			return nil
 		}
-		t, err := TargetOf(s, name)
-		if err != nil {
-			return nil, err
+	}
+	return func(s *soc.System) (func(int) (classify.Verdict, bool), error) {
+		sums := map[string]*core.ReadSummary{}
+		for _, name := range targetNames(cfg) {
+			if sums[name] != nil {
+				continue
+			}
+			t, err := TargetOf(s, name)
+			if err != nil {
+				return nil, err
+			}
+			sum := core.NewReadSummary(t.BitLen())
+			t.(core.Observable).Observe(sum)
+			sums[name] = sum
 		}
-		ot, ok := t.(core.Observable)
-		if !ok {
+		unobserved := func(i int) bool {
+			for _, f := range masks[i].Faults {
+				if !sums[f.Target].Unobserved(f.Bit, f.Model.StuckBit()) {
+					return false
+				}
+			}
+			return true
+		}
+		// A summary only ever sees more values, so the pass stops as soon
+		// as every mask has been seen: then none can be pruned.
+		open := make([]int, len(masks))
+		for i := range open {
+			open[i] = i
+		}
+		res, stopped := s.RunChecked(g.Info.Cycles+1, 1024, func() bool {
+			open = slices.DeleteFunc(open, func(i int) bool { return !unobserved(i) })
+			return len(open) == 0
+		})
+		if stopped {
 			return nil, nil
 		}
-		sum := core.NewReadSummary(t.BitLen())
-		ot.Observe(sum)
-		sums[name] = sum
-	}
-	unobserved := func(i int) bool {
-		for _, f := range masks[i].Faults {
-			if !sums[f.Target].Unobserved(f.Bit, f.Model.StuckBit()) {
-				return false
+		if res.Status != soc.RunCompleted || res.Cycles != g.Info.Cycles || !bytes.Equal(res.Output, g.Info.Output) {
+			return nil, fmt.Errorf("campaign: golden observation run %v at cycle %d departs from the golden run", res.Status, res.Cycles)
+		}
+		// A run identical to the golden classifies as runOne's full path
+		// does: Masked by the run, no cycle delta, and with HVF an intact
+		// commit stream.
+		golden := verdictFromRun(g.Info.Output, g.Info.Cycles, res)
+		return func(i int) (classify.Verdict, bool) {
+			if unobserved(i) {
+				return golden, true
 			}
-		}
-		return true
+			return classify.Verdict{}, false
+		}, nil
 	}
-	// A summary only ever sees more values, so the pass stops as soon as
-	// every mask has been seen: then none can be pruned.
-	open := make([]int, len(masks))
-	for i := range open {
-		open[i] = i
-	}
-	res, stopped := s.RunChecked(g.Info.Cycles+1, 1024, func() bool {
-		open = slices.DeleteFunc(open, func(i int) bool { return !unobserved(i) })
-		return len(open) == 0
-	})
-	if stopped {
-		return nil, nil
-	}
-	if res.Status != soc.RunCompleted || res.Cycles != g.Info.Cycles || !bytes.Equal(res.Output, g.Info.Output) {
-		return nil, fmt.Errorf("campaign: golden observation run %v at cycle %d departs from the golden run", res.Status, res.Cycles)
-	}
-	// A run identical to the golden classifies as runOne's full path
-	// does: Masked by the run, no cycle delta, and with HVF an intact
-	// commit stream.
-	golden := verdictFromRun(g.Info.Output, g.Info.Cycles, res)
-	return func(i int) (classify.Verdict, bool) {
-		if unobserved(i) {
-			return golden, true
-		}
-		return classify.Verdict{}, false
-	}, nil
 }
 
 // runGolden performs the fault-free run, returning the reference info, the

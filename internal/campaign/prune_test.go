@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
 	"marvel/internal/dispatch"
@@ -41,6 +42,22 @@ func prepareGoldenFor(t *testing.T, arch, wl string, preset config.Preset) (*Gol
 	return g, cfg
 }
 
+// prunedBy runs cfg's pruning pass as the dispatch kernel does, from a
+// fork of the window-start checkpoint, and returns its predicate (nil
+// when the campaign has no pass or the pass proves nothing).
+func prunedBy(t *testing.T, cfg Config, g *Golden, masks []core.Mask) func(int) (classify.Verdict, bool) {
+	t.Helper()
+	pass := pruner(cfg, g, masks)
+	if pass == nil {
+		return nil
+	}
+	prune, err := pass(g.base.Fork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prune
+}
+
 // pruneTargets are the CPU targets whose ports report to an observer.
 var pruneTargets = []string{"prf", "l1i", "l1d", "l2", "lq", "sq"}
 
@@ -69,10 +86,7 @@ func TestStuckAtPruningDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							prune, err := pruner(cfg, g, masks)
-							if err != nil {
-								t.Fatal(err)
-							}
+							prune := prunedBy(t, cfg, g, masks)
 							n := 0
 							for i, m := range masks {
 								if prune == nil {
@@ -128,17 +142,17 @@ func TestPruningOffWhenTracedOrTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prune, err := pruner(cfg, g, masks); err != nil || prune == nil {
-		t.Fatalf("untraced stuck-at campaign: pruner %v, %v; want one", prune != nil, err)
+	if pruner(cfg, g, masks) == nil {
+		t.Fatal("untraced stuck-at campaign: no pruning pass")
 	}
 	traced := cfg
 	traced.Trace = obs.NewRingSink(16)
-	if prune, err := pruner(traced, g, masks); err != nil || prune != nil {
-		t.Fatalf("traced campaign: pruner %v, %v; want none", prune != nil, err)
+	if pruner(traced, g, masks) != nil {
+		t.Fatal("traced campaign: a pruning pass, want none")
 	}
 	mixed := append([]core.Mask{{Faults: []core.Fault{{Target: "l1d", Bit: 3, Cycle: g.Info.WindowLo, Model: core.Transient}}}}, masks...)
-	if prune, err := pruner(cfg, g, mixed); err != nil || prune != nil {
-		t.Fatalf("campaign with a transient mask: pruner %v, %v; want none", prune != nil, err)
+	if pruner(cfg, g, mixed) != nil {
+		t.Fatal("campaign with a transient mask: a pruning pass, want none")
 	}
 	rob := cfg
 	rob.Target = "rob"
@@ -146,8 +160,8 @@ func TestPruningOffWhenTracedOrTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prune, err := pruner(rob, g, robMasks); err != nil || prune != nil {
-		t.Fatalf("rob campaign: pruner %v, %v; want none (the ROB reports no ports)", prune != nil, err)
+	if pruner(rob, g, robMasks) != nil {
+		t.Fatal("rob campaign: a pruning pass, want none (the ROB reports no ports)")
 	}
 }
 

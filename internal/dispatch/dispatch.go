@@ -3,12 +3,13 @@
 // accelerator (internal/accel) campaign engines. An engine prepares its
 // golden reference and fault population, then hands the kernel a Plan:
 // the golden's checkpoint Ladder (rung 0, the window end, a walker and
-// the memo), each fault's first transient injection cycle, and how to
-// run one fault. The kernel owns everything else — building, memoizing
-// and climbing the checkpoint ladder, the worker pool, per-worker scratch
-// fork/reset/rung switching, contiguous batching with rung-stable
-// sorting, the adaptive Wilson-margin stop, first-error abort, fork and
-// replay accounting and the per-worker profiler lanes.
+// the memo), each fault's first transient injection cycle, how to run
+// one fault and, optionally, an exact pruning pass. The kernel owns
+// everything else — building, memoizing and climbing the checkpoint
+// ladder, the rung the pruning pass starts from, the worker pool,
+// per-worker scratch fork/reset/rung switching, contiguous batching with
+// rung-stable sorting, the adaptive Wilson-margin stop, first-error
+// abort, fork and replay accounting and the per-worker profiler lanes.
 //
 // The prefix-stable-batch invariant: faults are dispatched in contiguous
 // index ranges [done, hi), the stop decision is taken only at a batch
@@ -20,6 +21,7 @@ package dispatch
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -158,7 +160,7 @@ type ForkStats struct {
 	// quantity the ladder exists to shrink.
 	ReplayedCycles uint64
 	// Pruned counts faults whose verdict the engine proved without
-	// simulating (Plan.Pruned); no scratch was forked or reset for them.
+	// simulating (Plan.Prune); no scratch was forked or reset for them.
 	Pruned uint64
 }
 
@@ -291,11 +293,15 @@ type Plan[S Scratch[S]] struct {
 	// state-identical). lane, when profiling, takes the run's
 	// replay/faulty/classify spans. An error aborts the campaign.
 	Run func(s S, i int, lane *obs.Lane) (classify.Verdict, error)
-	// Pruned, when non-nil, returns fault i's verdict and true when the
-	// engine proves, without simulating, the verdict Run would return
-	// (exact stuck-at pruning). The kernel then skips Run and the
-	// scratch fork or reset, and counts the fault in ForkStats.Pruned.
-	Pruned func(i int) (classify.Verdict, bool)
+	// Prune, when non-nil, is the engine's exact pruning pass. The kernel
+	// calls it once before dispatch, inside a "golden" profiler span,
+	// with a fork of the earliest rung any fault forks from (rung 0 when
+	// some fault is permanent): the pass observes the golden run from
+	// there. It returns, for every fault it proves, the verdict Run would
+	// return, or a nil predicate when it proves none. The kernel skips Run
+	// and the scratch fork or reset of a proven fault and counts it in
+	// ForkStats.Pruned. An error aborts the campaign.
+	Prune func(start S) (pruned func(i int) (classify.Verdict, bool), err error)
 	// OnVerdict, when non-nil, observes every verdict as it completes. It
 	// is called concurrently from the workers and must not block.
 	OnVerdict func(i int, v classify.Verdict)
@@ -336,6 +342,18 @@ func (p Plan[S]) climb(n int) (rungs []Rung[S], rungOf []int, replay []uint64) {
 	return rungs, rungOf, replay
 }
 
+// prune runs the plan's pruning pass, if any, from a fork of the
+// earliest rung a fault forks from: the rung of the earliest injection,
+// or rung 0 when some fault is permanent.
+func (p Plan[S]) prune(rungs []Rung[S], rungOf []int) (func(int) (classify.Verdict, bool), error) {
+	if p.Prune == nil {
+		return nil, nil
+	}
+	sp := p.Profile.NewLane("golden").Begin(obs.PhaseGolden)
+	defer sp.End()
+	return p.Prune(rungs[slices.Min(rungOf)].Sys.Fork())
+}
+
 // Summary is the engine-independent part of a campaign result; both
 // campaign.Result and accel.CampaignResult embed it.
 type Summary struct {
@@ -371,6 +389,10 @@ func (s *Summary) AVF() float64 { return s.Counts.AVF() }
 func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 	n, z := p.Budget(), p.Z()
 	rungs, rungOf, replay := p.climb(n)
+	pruned, err := p.prune(rungs, rungOf)
+	if err != nil {
+		return nil, Summary{}, err
+	}
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -405,8 +427,8 @@ func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 				}
 			}
 			run := func(i int) (classify.Verdict, error) {
-				if p.Pruned != nil {
-					if v, ok := p.Pruned(i); ok {
+				if pruned != nil {
+					if v, ok := pruned(i); ok {
 						stats.Pruned++
 						return v, nil
 					}

@@ -481,8 +481,8 @@ func TestLadderSkippedWithoutTransients(t *testing.T) {
 	}
 }
 
-// TestRunPrunedSkipsScratch: a fault Plan.Pruned decides takes its
-// verdict from there, reaches OnVerdict like any other, is counted in
+// TestRunPrunedSkipsScratch: a fault the Plan.Prune pass decides takes
+// its verdict from there, reaches OnVerdict like any other, is counted in
 // ForkStats.Pruned and neither forks nor resets a scratch, on any worker
 // count.
 func TestRunPrunedSkipsScratch(t *testing.T) {
@@ -497,11 +497,13 @@ func TestRunPrunedSkipsScratch(t *testing.T) {
 			}
 			return run(s, i, lane)
 		}
-		p.Pruned = func(i int) (classify.Verdict, bool) {
-			if !pruned(i) {
-				return classify.Verdict{}, false
-			}
-			return verdictOf(i), true
+		p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, bool), error) {
+			return func(i int) (classify.Verdict, bool) {
+				if !pruned(i) {
+					return classify.Verdict{}, false
+				}
+				return verdictOf(i), true
+			}, nil
 		}
 		var calls atomic.Int64
 		p.OnVerdict = func(int, classify.Verdict) { calls.Add(1) }
@@ -519,5 +521,53 @@ func TestRunPrunedSkipsScratch(t *testing.T) {
 			t.Errorf("%d workers: pruned %d, forks %d + reuses %d, %d OnVerdict calls; want 45, 15 runs, %d calls",
 				workers, f.Pruned, f.Forks, f.ReuseHits, calls.Load(), n)
 		}
+	}
+}
+
+// TestPruneStartsFromEarliestRung: the pruning pass runs once, on a fork
+// of the rung the earliest injection forks from, or of rung 0 once any
+// fault is permanent; its error aborts the campaign before any fault runs.
+func TestPruneStartsFromEarliestRung(t *testing.T) {
+	cases := []struct {
+		name     string
+		inject   func(i int) (uint64, bool)
+		strict   bool
+		wantRung int
+	}{
+		{"transients past rung 2", func(i int) (uint64, bool) { return uint64(350 + i), true }, false, 2},
+		{"earliest at a rung, at-or-before rule", func(i int) (uint64, bool) { return uint64(300 + 50*i), true }, false, 2},
+		{"earliest at a rung, strictly-before rule", func(i int) (uint64, bool) { return uint64(300 + 50*i), true }, true, 1},
+		{"one permanent fault", func(i int) (uint64, bool) { return 390, i != 3 }, false, 0},
+	}
+	for _, c := range cases {
+		var passes atomic.Int64
+		p := Plan[*fakeScratch]{
+			Sizing: Sizing{Faults: 6, Workers: 2, LadderRungs: 3},
+			Ladder: fakeLadder(100, 500, 1, 1<<40, c.strict, nil),
+			Inject: c.inject,
+			Run: func(*fakeScratch, int, *obs.Lane) (classify.Verdict, error) {
+				return classify.Verdict{}, nil
+			},
+			Prune: func(s *fakeScratch) (func(int) (classify.Verdict, bool), error) {
+				passes.Add(1)
+				if s.rung != c.wantRung {
+					t.Errorf("%s: pass started on rung %d, want %d", c.name, s.rung, c.wantRung)
+				}
+				return nil, nil
+			},
+		}
+		if _, sum, err := Run(p); err != nil || sum.Forking.Pruned != 0 || passes.Load() != 1 {
+			t.Errorf("%s: err %v, %d pruned, %d passes; want one pass proving none", c.name, err, sum.Forking.Pruned, passes.Load())
+		}
+	}
+	boom := errors.New("golden pass departs")
+	p := testPlan(t, 8, 1, 2)
+	p.Run = func(*fakeScratch, int, *obs.Lane) (classify.Verdict, error) {
+		t.Error("a fault ran after the pruning pass failed")
+		return classify.Verdict{}, nil
+	}
+	p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, bool), error) { return nil, boom }
+	if _, _, err := Run(p); !errors.Is(err, boom) {
+		t.Errorf("pass error %v, want %v", err, boom)
 	}
 }

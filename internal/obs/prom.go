@@ -96,7 +96,7 @@ func writePromTargets(w io.Writer, targets []promTarget) {
 		func(s RegistrySnapshot) uint64 { return s.Forks })
 	counter("marvel_fork_reuses_total", "Per-fault setups served by scratch reset.",
 		func(s RegistrySnapshot) uint64 { return s.ForkReuses })
-	counter("marvel_pruned_total", "Stuck-at faults decided by exact pruning, without a faulty run.",
+	counter("marvel_pruned_total", "Faults decided by exact pruning, without a faulty run.",
 		func(s RegistrySnapshot) uint64 { return s.Pruned })
 	counter("marvel_rung_hits_total", "Faulty runs dispatched from a mid-window ladder rung.",
 		func(s RegistrySnapshot) uint64 { return s.RungHits })

@@ -224,7 +224,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 }
 
-// TestPrunedCounterExposed: stuck-at faults decided by exact pruning
+// TestPrunedCounterExposed: faults decided by exact pruning
 // reach the registry snapshot and the Prometheus exposition.
 func TestPrunedCounterExposed(t *testing.T) {
 	reg := NewRegistry()

@@ -99,7 +99,8 @@ type Registry struct {
 	HVFCorrupt Counter
 
 	// Fork-pool health (from campaign/accel ForkStats). Pruned counts
-	// stuck-at faults decided by exact pruning, without a faulty run.
+	// faults decided by exact pruning, without a faulty run: CPU and
+	// accelerator stuck-ats, and accelerator transients.
 	Forks      Counter
 	ForkReuses Counter
 	Pruned     Counter

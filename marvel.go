@@ -244,9 +244,10 @@ type Report struct {
 	ForkReuses   uint64
 	PagesCopied  uint64
 	SetsRestored uint64
-	// Pruned counts stuck-at faults whose verdict exact pruning proved
-	// without a faulty run (the golden's own verdict: each such bit held
-	// its stuck value at every port that read it); they fork nothing.
+	// Pruned counts faults whose verdict exact pruning proved without a
+	// faulty run (the golden's own verdict); they fork nothing. On the CPU
+	// these are stuck-at faults whose bit held its stuck value at every
+	// port that read it.
 	Pruned uint64
 	// Checkpoint-ladder stats (see CampaignOptions.LadderRungs): Rungs is
 	// how many mid-window rungs were available, RungHits how many runs
@@ -439,6 +440,11 @@ type AccelReport struct {
 	Forks       uint64
 	ForkReuses  uint64
 	PagesCopied uint64
+	// Pruned counts faults whose verdict exact pruning proved without a
+	// faulty run (the golden's own verdict): stuck-at bits every read of
+	// the golden run returned at their stuck value, and transient flips
+	// overwritten or never read after they land. They fork nothing.
+	Pruned uint64
 	// Checkpoint-ladder stats (see AccelOptions.LadderRungs).
 	Rungs          int
 	RungHits       uint64
@@ -491,6 +497,7 @@ func RunAccelCampaign(o AccelOptions) (*AccelReport, error) {
 		Forks:          c.Forking.Forks,
 		ForkReuses:     c.Forking.ReuseHits,
 		PagesCopied:    c.Forking.PagesCopied,
+		Pruned:         c.Forking.Pruned,
 		Rungs:          c.Forking.Rungs,
 		RungHits:       c.Forking.RungHits,
 		ReplayedCycles: c.Forking.ReplayedCycles,

@@ -8,13 +8,15 @@
 #       fail on a seeded violation
 #   2. race jobs: the shared fault-dispatch kernel and the CPU and
 #      accelerator campaigns' parallel paths under the race detector
-#      (including traced campaigns, ForkStats folding and the
-#      checkpoint-ladder differential suite)
+#      (including traced campaigns, ForkStats folding, concurrent
+#      pruning passes over one shared golden and the checkpoint-ladder
+#      differential suite)
 #   3. sweep race job + differential guard: the orchestrator's two-level
 #      parallelism, golden-cache reuse and resume must be race-free and
-#      bit-identical to standalone campaigns; every stuck-at fault exact
-#      pruning skips must classify as its full run, and every storage
-#      port must reach the read summary; adaptive confidence-targeted
+#      bit-identical to standalone campaigns; every fault exact pruning
+#      skips (CPU stuck-ats, accelerator stuck-ats and transients) must
+#      classify as its full run, and every storage port must reach the
+#      golden observers; adaptive confidence-targeted
 #      sizing must be schedule-independent and a bit-identical prefix of
 #      the fixed-budget run, and must demonstrably save >= 30% of the
 #      worst-case budget at equal margin
@@ -93,6 +95,10 @@ echo "== race: parallel accel campaign determinism =="
 go test -race -run 'TestAccelCampaignWorkerInvariance|TestStandaloneForkResetEquivalence' ./internal/accel
 go test -race -run 'TestAccelCampaignEquivalenceStuckAt0|TestAccelMaskPopulationWindowIndependentOfSchedule' ./internal/accel
 go test -race -run 'TestAccelTracingDoesNotChangeVerdicts|TestAccelForkStatsUnderParallelWorkers' ./internal/accel
+# Concurrent accelerator campaigns over one shared golden each run their
+# own pruning pass and golden watch: race-free, and each equal to the
+# campaign run alone.
+go test -race -count=3 -run '^TestAccelPruningConcurrentCampaignsSharedGolden$' ./internal/accel
 
 echo "== race: paged memory and cache blocks shared between goroutines =="
 # Checkpoints, rungs and forks share page and cache-block buffers: a
@@ -169,14 +175,22 @@ for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCP
 		exit 1
 	}
 done
-# Exact stuck-at pruning: every pruned fault, run the full way, must get
-# the identical verdict, and every read, overwrite and enforcement port
-# of the cache, register file, load/store queues and accelerator banks
-# must reach the read summary.
+# Exact pruning: every pruned fault, run the full way, must get the
+# identical verdict (CPU stuck-ats; accelerator stuck-ats and transients,
+# including flips that land in the tick of a read or overwrite), and
+# every read, overwrite and enforcement port of the cache, register
+# file, load/store queues and accelerator banks must reach the read
+# summary.
 go test -run '^TestStuckAtPruningDifferential$' -v ./internal/campaign | grep -q -- '--- PASS: TestStuckAtPruningDifferential' || {
 	echo "verify: differential guard: TestStuckAtPruningDifferential did not run/pass" >&2
 	exit 1
 }
+for t in TestAccelPruningDifferential TestPruningSameTickOrdering; do
+	go test -run "^${t}\$" -v ./internal/accel | grep -q -- "--- PASS: ${t}" || {
+		echo "verify: differential guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
 for pkg in mem cpu accel; do
 	go test -run '^TestPortCompleteness$' -v "./internal/$pkg" | grep -q -- '--- PASS: TestPortCompleteness' || {
 		echo "verify: port-completeness guard: TestPortCompleteness did not run/pass in internal/$pkg" >&2
