@@ -393,10 +393,10 @@ func cmdSweep(args []string) error {
 	fmt.Printf("sweep: %d cells (%d executed, %d resumed) in %s\n",
 		res.Counters.CellsPlanned, res.Counters.CellsExecuted,
 		res.Counters.CellsSkipped, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("golden cache: %d runs, %d hits | faults %d, early-stops %d | forks %d (+%d reuses)\n",
+	fmt.Printf("golden cache: %d runs, %d hits | faults %d, early-stops %d | forks %d (+%d reuses, %d pruned)\n",
 		res.Counters.GoldenRuns, res.Counters.GoldenHits,
 		res.Counters.FaultsDone, res.Counters.EarlyStops,
-		res.Counters.Forks, res.Counters.ForkReuses)
+		res.Counters.Forks, res.Counters.ForkReuses, res.Counters.Pruned)
 	if res.Counters.FaultsSaved > 0 {
 		fmt.Printf("adaptive: %d budgeted injections saved (target ±%.2f%% at %.0f%%)\n",
 			res.Counters.FaultsSaved, 100*sz.margin, confidencePct(sz.confidence))

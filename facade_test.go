@@ -181,6 +181,9 @@ func TestFacadeRunSweep(t *testing.T) {
 // The accelerator cases' fork counters were re-pinned when pruning came
 // to the accelerator: 9, 9 and 7 of their 16 faults are pruned, so they
 // fork, reset, copy and replay nothing; every verdict field is unchanged.
+// Plain gemm's ladder counters were re-pinned when each fault the pass saw
+// read came to fork from the rung before that read (RungHits 5 -> 6,
+// ReplayedCycles 4846 -> 1378); every verdict field is unchanged.
 func TestFacadeReportsPinned(t *testing.T) {
 	cpu := []struct {
 		name string
@@ -243,7 +246,7 @@ func TestFacadeReportsPinned(t *testing.T) {
 			SDCAVF: 0.4375, Margin: 0.24477556561902133, Z: 1.96,
 			AchievedMargin: 0.23071804393223472, Requested: 16, Batches: 1, TaskCycles: 5843,
 			AreaUnits: 35.699999999999996, Forks: 4, ForkReuses: 3, PagesCopied: 7, Pruned: 9, Rungs: 4,
-			RungHits: 5, ReplayedCycles: 4846,
+			RungHits: 6, ReplayedCycles: 1378,
 		}},
 		{"gemm with 4 multipliers", marvel.AccelOptions{
 			Design: "gemm", Component: "MATRIX1", Faults: 16, Seed: 2, GemmMultipliers: 4, Workers: 1,

@@ -20,9 +20,12 @@ type CampaignConfig struct {
 	Model  core.Model
 	Seed   int64
 	// Sizing is the sampling rule, as in campaign.Config. Ladder rungs
-	// stop strictly before an injection cycle (flips apply inside Tick),
-	// and permanent faults always fork from the pristine base, since
-	// stuck-at bits must corrupt DMA-in too.
+	// stop strictly before a cycle, since flips apply inside Tick, before
+	// its accesses. A stuck-at forks from the pristine base, since stuck
+	// bits must corrupt DMA-in too, and a transient from the rung before
+	// its injection, unless the pruning pass saw the fault first read
+	// later: then it forks from the latest rung strictly before the tick
+	// of that read.
 	dispatch.Sizing
 	// WatchdogFactor bounds faulty tasks at factor × golden cycles;
 	// values <= 1 keep the default of 4.
@@ -183,18 +186,7 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 		faults[i] = in.fault(cfg, i)
 	}
 
-	verdicts, sum, err := dispatch.Run(dispatch.Plan[*Standalone]{
-		Sizing: cfg.Sizing,
-		Bits:   in.bits,
-		Ladder: g.ladder(in.window),
-		Inject: func(i int) (uint64, bool) { return faults[i].Cycle, !faults[i].Model.Permanent() },
-		Run: func(s *Standalone, i int, lane *obs.Lane) (classify.Verdict, error) {
-			return runFaulty(s, in.bankIdx, faults[i], in.cycleBudget, g.Output, cfg.Trace, lane, int64(i)), nil
-		},
-		Prune:     g.pruner(cfg, in, faults),
-		OnVerdict: cfg.OnVerdict,
-		Profile:   cfg.Profile,
-	})
+	verdicts, sum, err := dispatch.Run(g.plan(cfg, in, faults))
 	if err != nil {
 		return nil, err
 	}
@@ -213,6 +205,23 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 	return res, nil
 }
 
+// plan is the dispatch kernel's plan for cfg's campaign on the target in
+// resolves, whose fault i is faults[i].
+func (g *CampaignGolden) plan(cfg CampaignConfig, in injection, faults []core.Fault) dispatch.Plan[*Standalone] {
+	return dispatch.Plan[*Standalone]{
+		Sizing: cfg.Sizing,
+		Bits:   in.bits,
+		Ladder: g.ladder(in.window),
+		Inject: func(i int) (uint64, bool) { return faults[i].Cycle, !faults[i].Model.Permanent() },
+		Run: func(s *Standalone, i int, lane *obs.Lane) (classify.Verdict, error) {
+			return runFaulty(s, in.bankIdx, faults[i], in.cycleBudget, g.Output, cfg.Trace, lane, int64(i)), nil
+		},
+		Prune:     g.pruner(cfg, in, faults),
+		OnVerdict: cfg.OnVerdict,
+		Profile:   cfg.Profile,
+	}
+}
+
 // pruner returns the kernel's exact pruning pass for an untraced
 // campaign, or nil. The pass runs the golden task on the kernel's fork of
 // its start rung (rung 0, before DMA-in, when the faults are stuck-at;
@@ -227,13 +236,25 @@ func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResu
 //     to its byte at its cycle or later is the first that can see it: an
 //     overwrite erases the flip, and no access at all leaves it unseen.
 //
-// Such a fault gets the golden's verdict, Masked at g.Cycles. The watch
-// lives for this one pass: nothing is kept on the shared golden.
-func (g *CampaignGolden) pruner(cfg CampaignConfig, in injection, faults []core.Fault) func(*Standalone) (func(int) (classify.Verdict, bool), error) {
+// Such a fault gets the golden's verdict, Masked at g.Cycles. Every other
+// fault reports the tick in which the watch saw it read, and the kernel
+// forks it from the latest rung strictly before that tick. The faulty run
+// from there is the full one:
+//   - before that tick every golden read of a stuck-at-v byte returned v
+//     at its bit, so the full run executes as the golden run does, and
+//     the two differ only in the stuck bit, which Stick on the rung
+//     forces;
+//   - nothing accesses a transient's byte from its injection tick until
+//     the read, so a flip applied at any tick in between, before that
+//     tick's accesses, leaves the same byte for the read; a flip
+//     scheduled on a rung past its cycle applies in the next tick.
+//
+// The watch lives for this one pass: nothing is kept on the shared golden.
+func (g *CampaignGolden) pruner(cfg CampaignConfig, in injection, faults []core.Fault) func(*Standalone) (func(int) (classify.Verdict, uint64, bool), error) {
 	if cfg.Trace != nil {
 		return nil
 	}
-	return func(s *Standalone) (func(int) (classify.Verdict, bool), error) {
+	return func(s *Standalone) (func(int) (classify.Verdict, uint64, bool), error) {
 		w := core.NewGoldenWatch(faults, in.bits, s.Cluster.Cycle)
 		s.Cluster.Banks()[in.bankIdx].Observe(w)
 		if !s.Cluster.Started() {
@@ -250,17 +271,20 @@ func (g *CampaignGolden) pruner(cfg CampaignConfig, in injection, faults []core.
 				return nil, fmt.Errorf("accel: golden observation run ends %v at cycle %d, the golden run Masked at %d", v.Outcome, v.Cycles, g.Cycles)
 			}
 		}
-		// Keep only which faults were read: the watch's clock holds the
-		// pass's fork, which can then be freed.
-		read := make([]bool, len(faults))
-		for i := range read {
-			read[i] = w.State(i) == core.WatchRead
-		}
-		return func(i int) (classify.Verdict, bool) {
-			if read[i] {
-				return classify.Verdict{}, false
+		// Keep only the tick each fault was read in, 0 when never (every
+		// access lies inside a Tick, at clock 1 or later): the watch's
+		// clock holds the pass's fork, which can then be freed.
+		readAt := make([]uint64, len(faults))
+		for i := range readAt {
+			if w.State(i) == core.WatchRead {
+				readAt[i] = max(w.SettledAt(i), 1)
 			}
-			return golden, true
+		}
+		return func(i int) (classify.Verdict, uint64, bool) {
+			if readAt[i] > 0 {
+				return classify.Verdict{}, readAt[i], false
+			}
+			return golden, 0, true
 		}, nil
 	}
 }

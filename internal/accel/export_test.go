@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"marvel/internal/classify"
 	"marvel/internal/core"
 	"marvel/internal/dispatch"
 	"marvel/internal/metrics"
@@ -50,6 +51,63 @@ func RunRebuildOracle(cfg CampaignConfig) (*CampaignResult, error) {
 	}
 	res.AchievedMargin = metrics.Confidence(res.Counts.AVF(), cfg.Faults, z).Half()
 	return res, nil
+}
+
+// RunFaults dispatches faults through the campaign kernel over g exactly
+// as RunCampaignWithGolden dispatches the population it draws — pruning
+// pass, checkpoint ladder and the rungs the pass moves faults to — and
+// returns their verdicts in order. cfg's sizing must be fixed; its fault
+// count is ignored.
+func RunFaults(cfg CampaignConfig, g *CampaignGolden, faults []core.Fault) ([]classify.Verdict, dispatch.Summary, error) {
+	in, err := g.injection(cfg)
+	if err != nil {
+		return nil, dispatch.Summary{}, err
+	}
+	cfg.Faults = len(faults)
+	return dispatch.Run(g.plan(cfg, in, faults))
+}
+
+// RunFull runs f the full way on a fork of g's pristine base, rung 0.
+func RunFull(cfg CampaignConfig, g *CampaignGolden, f core.Fault) (classify.Verdict, error) {
+	in, err := g.injection(cfg)
+	if err != nil {
+		return classify.Verdict{}, err
+	}
+	return runFaulty(g.base.Fork(), in.bankIdx, f, in.cycleBudget, g.Output, nil, nil, 0), nil
+}
+
+// PortEvent is one bank byte a port touched in the golden run, in the
+// tick the clock read Cycle: a read returning Value, or an overwrite.
+type PortEvent struct {
+	Cycle, Byte uint64
+	Read        bool
+	Value       byte
+}
+
+// GoldenPortEvents runs g's task fault-free from its pristine base and
+// returns every byte the ports of bank target touched, in order.
+func GoldenPortEvents(g *CampaignGolden, target string) ([]PortEvent, error) {
+	in, err := g.injection(CampaignConfig{Target: target})
+	if err != nil {
+		return nil, err
+	}
+	rec := g.base.Fork()
+	log := &portLog{clock: rec.Cluster.Cycle}
+	rec.Cluster.Banks()[in.bankIdx].Observe(log)
+	if err := rec.Run(in.cycleBudget); err != nil {
+		return nil, err
+	}
+	var out []PortEvent
+	for _, e := range log.events {
+		for j := uint64(0); j < e.n; j++ {
+			pe := PortEvent{Cycle: e.cycle, Byte: e.at + j, Read: e.read}
+			if e.read {
+				pe.Value = e.data[j]
+			}
+			out = append(out, pe)
+		}
+	}
+	return out, nil
 }
 
 // scanEngine is the scheduler the event-driven one replaced, kept only as

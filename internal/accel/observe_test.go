@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"slices"
 	"testing"
 
 	"marvel/internal/classify"
@@ -35,24 +36,25 @@ func TestPortCompleteness(t *testing.T) {
 	}
 }
 
-// portLog records the cycle, kind and first byte of every port event of
-// one bank.
+// portLog records the cycle, kind, first byte and extent of every port
+// event of one bank, and what each read returned.
 type portLog struct {
 	clock  func() uint64
 	events []portEvent
 }
 
 type portEvent struct {
-	cycle, at uint64
-	read      bool
+	cycle, at, n uint64
+	read         bool
+	data         []byte // a read's bytes
 }
 
-func (l *portLog) Read(at uint64, _ []byte) {
-	l.events = append(l.events, portEvent{cycle: l.clock(), at: at, read: true})
+func (l *portLog) Read(at uint64, data []byte) {
+	l.events = append(l.events, portEvent{cycle: l.clock(), at: at, n: uint64(len(data)), read: true, data: slices.Clone(data)})
 }
 
-func (l *portLog) Overwrite(at, _ uint64) {
-	l.events = append(l.events, portEvent{cycle: l.clock(), at: at})
+func (l *portLog) Overwrite(at, n uint64) {
+	l.events = append(l.events, portEvent{cycle: l.clock(), at: at, n: n})
 }
 
 func (l *portLog) Enforce(uint64, []byte) {}
@@ -97,7 +99,7 @@ func TestPruningSameTickOrdering(t *testing.T) {
 		s.Reset()
 		full := runFaulty(s, in.bankIdx, f, in.cycleBudget, g.Output, nil, nil, 0)
 		e := log.events[i/2]
-		if v, ok := prune(i); ok && v != full {
+		if v, _, ok := prune(i); ok && v != full {
 			t.Errorf("flip %v pruned as %+v, full run %+v", f, v, full)
 		} else if !ok && !e.read && i%2 == 0 {
 			t.Errorf("flip %v, overwritten in its own tick, was not pruned", f)

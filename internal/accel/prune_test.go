@@ -23,10 +23,12 @@ var pruneModels = []core.Model{core.Transient, core.StuckAt0, core.StuckAt1}
 // observation pass, to the rebuild oracle, which runs each fault the full
 // way on a freshly built harness: 8 designs x every bank x {transient,
 // stuck-at-0, stuck-at-1} x ladder {0, 8}, plus transients drawn from a
-// window three times the task's.
+// window three times the task's. Under the ladder, stuck-ats the pass saw
+// read fork from the rung before that read, so the oracle also holds
+// those deep forks.
 func TestAccelPruningDifferential(t *testing.T) {
 	const faults = 16
-	pruned := map[core.Model]uint64{}
+	pruned, deep := map[core.Model]uint64{}, map[core.Model]uint64{}
 	var total uint64
 	check := func(label string, cfg accel.CampaignConfig, g *accel.CampaignGolden) {
 		t.Helper()
@@ -43,6 +45,7 @@ func TestAccelPruningDifferential(t *testing.T) {
 				t.Errorf("%s/ladder%d: forks %d + reuses %d + pruned %d != %d", label, rungs, f.Forks, f.ReuseHits, f.Pruned, faults)
 			}
 			pruned[cfg.Model] += got.Forking.Pruned
+			deep[cfg.Model] += got.Forking.RungHits
 			total += faults
 		}
 	}
@@ -67,9 +70,12 @@ func TestAccelPruningDifferential(t *testing.T) {
 		}
 	}
 	for _, model := range pruneModels {
-		t.Logf("%-10v pruned %d", model, pruned[model])
+		t.Logf("%-10v pruned %d, %d forked from a mid-window rung", model, pruned[model], deep[model])
 		if pruned[model] == 0 {
 			t.Errorf("%v: no fault pruned; the golden watch proves nothing", model)
+		}
+		if model.Permanent() && deep[model] == 0 {
+			t.Errorf("%v: no fault forked from a mid-window rung; the deep-fork path went untested", model)
 		}
 	}
 	t.Logf("%d faults in all", total)
@@ -82,7 +88,8 @@ func TestAccelPruningOffWhenTraced(t *testing.T) {
 	if res := mustRun(t, cfg); res.Forking.Pruned == 0 {
 		t.Fatal("untraced gemm campaign pruned nothing")
 	}
-	cfg.Trace = obs.NewRingSink(16)
+	// A RingSink takes Emit calls from one goroutine only.
+	cfg.Trace, cfg.Workers = obs.NewRingSink(16), 1
 	if res := mustRun(t, cfg); res.Forking.Pruned != 0 {
 		t.Fatalf("traced campaign pruned %d faults", res.Forking.Pruned)
 	}

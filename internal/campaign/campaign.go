@@ -286,10 +286,12 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 // fork point of every permanent fault) with a core.ReadSummary armed on
 // each target. A mask whose every fault is a stuck-at-v bit that held v
 // at every port the summary saw leaves the faulty run identical to the
-// golden run, so its verdict is the golden's. The summaries belong to
-// this campaign alone: they are not kept on the Golden, which stays
-// immutable and shared.
-func pruner(cfg Config, g *Golden, masks []core.Mask) func(*soc.System) (func(int) (classify.Verdict, bool), error) {
+// golden run, so its verdict is the golden's. A summary keeps no clock,
+// so the pass reports no cycle at which it saw the other masks, and they
+// all fork from the window start. The summaries belong to this campaign
+// alone: they are not kept on the Golden, which stays immutable and
+// shared.
+func pruner(cfg Config, g *Golden, masks []core.Mask) func(*soc.System) (func(int) (classify.Verdict, uint64, bool), error) {
 	if cfg.Trace != nil {
 		return nil
 	}
@@ -304,7 +306,7 @@ func pruner(cfg Config, g *Golden, masks []core.Mask) func(*soc.System) (func(in
 			return nil
 		}
 	}
-	return func(s *soc.System) (func(int) (classify.Verdict, bool), error) {
+	return func(s *soc.System) (func(int) (classify.Verdict, uint64, bool), error) {
 		sums := map[string]*core.ReadSummary{}
 		for _, name := range targetNames(cfg) {
 			if sums[name] != nil {
@@ -346,11 +348,11 @@ func pruner(cfg Config, g *Golden, masks []core.Mask) func(*soc.System) (func(in
 		// does: Masked by the run, no cycle delta, and with HVF an intact
 		// commit stream.
 		golden := verdictFromRun(g.Info.Output, g.Info.Cycles, res)
-		return func(i int) (classify.Verdict, bool) {
+		return func(i int) (classify.Verdict, uint64, bool) {
 			if unobserved(i) {
-				return golden, true
+				return golden, 0, true
 			}
-			return classify.Verdict{}, false
+			return classify.Verdict{}, 0, false
 		}, nil
 	}
 }

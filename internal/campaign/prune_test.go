@@ -45,7 +45,7 @@ func prepareGoldenFor(t *testing.T, arch, wl string, preset config.Preset) (*Gol
 // prunedBy runs cfg's pruning pass as the dispatch kernel does, from a
 // fork of the window-start checkpoint, and returns its predicate (nil
 // when the campaign has no pass or the pass proves nothing).
-func prunedBy(t *testing.T, cfg Config, g *Golden, masks []core.Mask) func(int) (classify.Verdict, bool) {
+func prunedBy(t *testing.T, cfg Config, g *Golden, masks []core.Mask) func(int) (classify.Verdict, uint64, bool) {
 	t.Helper()
 	pass := pruner(cfg, g, masks)
 	if pass == nil {
@@ -63,7 +63,9 @@ var pruneTargets = []string{"prf", "l1i", "l1d", "l2", "lq", "sq"}
 
 // TestStuckAtPruningDifferential runs every fault the summary prunes the
 // full way, with HVF off and on, and demands the identical verdict: 6
-// targets x {stuck-at-0, stuck-at-1} x 3 ISAs x 2 workloads.
+// targets x {stuck-at-0, stuck-at-1} x 3 ISAs x 2 workloads. No mask
+// reports a cycle it was seen at, so every unpruned one forks from the
+// window start.
 func TestStuckAtPruningDifferential(t *testing.T) {
 	const faults = 16
 	type tally struct{ pruned, total int }
@@ -92,7 +94,11 @@ func TestStuckAtPruningDifferential(t *testing.T) {
 								if prune == nil {
 									break
 								}
-								v, ok := prune(i)
+								v, seen, ok := prune(i)
+								if seen != 0 {
+									t.Errorf("%s/%s/%s/%v mask %d: seen at cycle %d; the read summary keeps no clock",
+										arch, wl, target, model, i, seen)
+								}
 								if !ok {
 									continue
 								}

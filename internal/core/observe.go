@@ -144,8 +144,10 @@ func (s *ReadSummary) Unobserved(bit uint64, v uint8) bool {
 //     clock must already read c when the flip lands.
 //
 // A fault that is not read when the golden run ends leaves the faulty run
-// identical to the golden run. Once no fault is pending the rest of the
-// pass can settle nothing, so its driver may stop there.
+// identical to the golden run, and a fault that is read executes as the
+// golden run does until the clock it was read at, which SettledAt
+// reports. Once no fault is pending the rest of the pass can settle
+// nothing, so the pass may stop there.
 type GoldenWatch struct {
 	clock  func() uint64
 	faults []goldenFault
@@ -161,6 +163,7 @@ type goldenFault struct {
 	mask  byte   // the fault's bit within its byte
 	held  byte   // stuck-at: mask when the bit is stuck at 1, else 0
 	cycle uint64 // transient: the injection cycle
+	at    uint64 // the clock when the fault settled
 	state WatchState
 }
 
@@ -188,6 +191,10 @@ func (w *GoldenWatch) Pending() int { return w.pending }
 // State reports fault i's state: pending, read, or dead.
 func (w *GoldenWatch) State(i int) WatchState { return w.faults[i].state }
 
+// SettledAt reports the clock at which fault i settled, or 0 while it is
+// pending.
+func (w *GoldenWatch) SettledAt(i int) uint64 { return w.faults[i].at }
+
 // settle walks the pending faults on the bytes [at, at+n). Each one for
 // which to returns a state other than WatchPending takes that state and
 // leaves its byte's chain. data, when non-nil, is what the port reported
@@ -202,7 +209,7 @@ func (w *GoldenWatch) settle(at, n uint64, data []byte, to func(f *goldenFault, 
 				b = data[j]
 			}
 			if s := to(f, b); s != WatchPending {
-				f.state = s
+				f.state, f.at = s, w.clock()
 				w.pending--
 				*link = f.next
 				continue

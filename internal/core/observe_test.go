@@ -5,7 +5,8 @@ import "testing"
 // TestGoldenWatchSettles drives a golden watch through the port events of
 // a short run and checks each rule: a stuck-at goes read only on a value
 // that shows it, a transient only on the first access at or after its
-// cycle, and overwrites kill transients but never stuck-ats.
+// cycle, and overwrites kill transients but never stuck-ats. Each fault
+// records the clock it settled at.
 func TestGoldenWatchSettles(t *testing.T) {
 	var cycle uint64
 	faults := []Fault{
@@ -53,10 +54,15 @@ func TestGoldenWatchSettles(t *testing.T) {
 			t.Errorf("cycle %d: %d pending, want %d", cycle, w.Pending(), pending)
 		}
 	}
+	for i, want := range []uint64{3, 0, 6, 4, 5, 0, 6} {
+		if got := w.SettledAt(i); got != want {
+			t.Errorf("fault %d settled at %d, want %d", i, got, want)
+		}
+	}
 	// Enforcement points show stuck-ats like reads but leave transients.
 	e := NewGoldenWatch([]Fault{{Bit: 0, Model: StuckAt0}, {Bit: 1, Cycle: 1, Model: Transient}}, 8, func() uint64 { return 9 })
 	e.Enforce(0, []byte{0x03})
-	if e.State(0) != WatchRead || e.State(1) != WatchPending || e.Pending() != 1 {
-		t.Errorf("enforce: states %v %v, %d pending; want read, pending, 1", e.State(0), e.State(1), e.Pending())
+	if e.State(0) != WatchRead || e.State(1) != WatchPending || e.Pending() != 1 || e.SettledAt(0) != 9 {
+		t.Errorf("enforce: states %v %v, %d pending, settled at %d; want read, pending, 1, 9", e.State(0), e.State(1), e.Pending(), e.SettledAt(0))
 	}
 }

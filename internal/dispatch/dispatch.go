@@ -6,7 +6,8 @@
 // the memo), each fault's first transient injection cycle, how to run
 // one fault and, optionally, an exact pruning pass. The kernel owns
 // everything else — building, memoizing and climbing the checkpoint
-// ladder, the rung the pruning pass starts from, the worker pool,
+// ladder, the rung the pruning pass starts from, the deeper rung each
+// fault the pass saw forks from, the worker pool,
 // per-worker scratch fork/reset/rung switching, contiguous batching with
 // rung-stable sorting, the adaptive Wilson-margin stop, first-error
 // abort, fork and replay accounting and the per-worker profiler lanes.
@@ -71,9 +72,11 @@ type Sizing struct {
 	// checkpoint, the golden run is snapshotted at this many evenly spaced
 	// cycles inside the injection window, and every transient run forks
 	// from the latest rung before its injection cycle, replaying only the
-	// residual prefix. 0 keeps the single checkpoint. Verdicts and their
-	// digests are bit-identical for every value; runs carrying a permanent
-	// fault always fork from the window start.
+	// residual prefix. A fault the engine's pruning pass saw, permanent
+	// ones included, forks instead from the latest rung before the cycle
+	// the golden run first observed it, when that is deeper (see
+	// Plan.Prune). 0 keeps the single checkpoint. Verdicts and their
+	// digests are bit-identical for every value.
 	LadderRungs int
 	// Workers bounds parallelism; <= 0 means GOMAXPROCS. No more workers
 	// than faults are started. Verdicts are identical for every value.
@@ -153,11 +156,14 @@ type ForkStats struct {
 	// had available (0 when the ladder is off).
 	Rungs int
 	// RungHits counts faulty runs forked from a mid-window rung instead of
-	// rung 0.
+	// rung 0, whether their injection cycle or the cycle the pruning pass
+	// first saw them chose it.
 	RungHits uint64
 	// ReplayedCycles totals the pre-injection cycles scheduled between
 	// each run's fork point and its first transient injection — the
-	// quantity the ladder exists to shrink.
+	// quantity the ladder exists to shrink. A run forked at or past its
+	// injection cycle (the pruning pass moved it there) replays none, nor
+	// does a run carrying only permanent faults.
 	ReplayedCycles uint64
 	// Pruned counts faults whose verdict the engine proved without
 	// simulating (Plan.Prune); no scratch was forked or reset for them.
@@ -278,30 +284,43 @@ type Plan[S Scratch[S]] struct {
 	Sizing
 	Bits uint64
 	// Ladder is the golden's checkpoint ladder. The kernel climbs it only
-	// when LadderRungs > 0 and some fault is transient; otherwise every
-	// fault forks from rung 0.
+	// when LadderRungs > 0 and some fault is transient or the pruning
+	// pass saw some fault past rung 0; otherwise every fault forks from
+	// rung 0.
 	Ladder Ladder[S]
 	// Inject reports fault i's first transient injection cycle, or false
-	// when it has none (a permanent fault must hold from the window start,
-	// so it always forks from rung 0). Each fault forks from the latest
-	// rung the ladder's rule allows and replays the cycles from there to
-	// its injection. Within a batch faults are dispatched in stable rung
-	// order, so each worker's scratch walks the ladder monotonically.
+	// when it has none (a permanent fault must hold from the window
+	// start). Each fault forks from the latest rung the ladder's rule
+	// allows at its injection cycle, rung 0 when it has none, and replays
+	// the cycles from there to its injection, unless the pruning pass
+	// moves it deeper. Within a batch faults are dispatched in stable
+	// rung order, so each worker's scratch walks the ladder monotonically.
 	Inject func(i int) (cycle uint64, ok bool)
 	// Run executes fault i on s, which is positioned at its rung's
 	// checkpoint (a fresh fork or a reset one; the two are
-	// state-identical). lane, when profiling, takes the run's
-	// replay/faulty/classify spans. An error aborts the campaign.
+	// state-identical). A rung past the fault's injection cycle (see
+	// Prune) must take the fault at once: a permanent fault is forced
+	// there, a transient one applies at the next step. lane, when
+	// profiling, takes the run's replay/faulty/classify spans. An error
+	// aborts the campaign.
 	Run func(s S, i int, lane *obs.Lane) (classify.Verdict, error)
 	// Prune, when non-nil, is the engine's exact pruning pass. The kernel
 	// calls it once before dispatch, inside a "golden" profiler span,
 	// with a fork of the earliest rung any fault forks from (rung 0 when
 	// some fault is permanent): the pass observes the golden run from
-	// there. It returns, for every fault it proves, the verdict Run would
-	// return, or a nil predicate when it proves none. The kernel skips Run
-	// and the scratch fork or reset of a proven fault and counts it in
-	// ForkStats.Pruned. An error aborts the campaign.
-	Prune func(start S) (pruned func(i int) (classify.Verdict, bool), err error)
+	// there. Its predicate returns, for every fault it proves, the
+	// verdict Run would return and ok; the kernel skips Run and the
+	// scratch fork or reset of a proven fault and counts it in
+	// ForkStats.Pruned. For every other fault it returns seen, the
+	// earliest cycle at which the golden run observes the fault, or 0
+	// when the engine does not know. Up to seen the fault's run is the
+	// golden run with the fault applied: a stuck-at bit no read saw
+	// differ from its stuck value, a flipped bit whose byte nothing
+	// accessed since the flip. So the kernel forks the fault from the
+	// latest rung the ladder's rule allows at seen, when that is deeper
+	// than its injection rung. A nil predicate proves and places nothing.
+	// An error aborts the campaign.
+	Prune func(start S) (pruned func(i int) (v classify.Verdict, seen uint64, ok bool), err error)
 	// OnVerdict, when non-nil, observes every verdict as it completes. It
 	// is called concurrently from the workers and must not block.
 	OnVerdict func(i int, v classify.Verdict)
@@ -311,47 +330,68 @@ type Plan[S Scratch[S]] struct {
 	Profile *obs.Profiler
 }
 
-// climb maps every fault of an n-fault plan to the rung it forks from and
-// the pre-injection cycles it replays there, building the ladder when
-// LadderRungs > 0 and some fault is transient.
-func (p Plan[S]) climb(n int) (rungs []Rung[S], rungOf []int, replay []uint64) {
+// climb maps every fault of the plan to the rung it forks from and the
+// pre-injection cycles it replays there. Each fault first takes the rung
+// of its injection cycle; then the pruning pass, if any, runs from the
+// earliest of those rungs, its proven verdicts go to verdicts (marked in
+// proven, nil when nothing is proven), and every fault it saw moves to
+// the rung of the cycle it was first seen at, when that is deeper. The
+// ladder is built when LadderRungs > 0 and some fault is transient or
+// was seen past rung 0.
+func (p Plan[S]) climb(verdicts []classify.Verdict) (rungs []Rung[S], rungOf []int, replay []uint64, proven []bool, err error) {
+	n := len(verdicts)
 	rungs = []Rung[S]{{Sys: p.Ladder.Base, Cycle: p.Ladder.Lo}}
-	if p.LadderRungs > 0 {
-		for i := 0; i < n; i++ {
-			if _, ok := p.Inject(i); ok {
-				sp := p.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-				rungs = p.Ladder.Rungs(p.LadderRungs)
-				sp.End()
-				break
-			}
-		}
+	built := false
+	build := func() {
+		sp := p.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
+		rungs, built = p.Ladder.Rungs(p.LadderRungs), true
+		sp.End()
 	}
-	rungOf = make([]int, n)
-	replay = make([]uint64, n)
-	for i := range rungOf {
-		cycle, ok := p.Inject(i)
-		if !ok {
-			continue
-		}
-		r := rungFor(rungs, p.Ladder.StrictlyBefore, cycle)
-		rungOf[i] = r
-		if cycle > rungs[r].Cycle {
+	rungOf, replay = make([]int, n), make([]uint64, n)
+	place := func(i, r int) {
+		rungOf[i], replay[i] = r, 0
+		if cycle, ok := p.Inject(i); ok && cycle > rungs[r].Cycle {
 			replay[i] = cycle - rungs[r].Cycle
 		}
 	}
-	return rungs, rungOf, replay
-}
-
-// prune runs the plan's pruning pass, if any, from a fork of the
-// earliest rung a fault forks from: the rung of the earliest injection,
-// or rung 0 when some fault is permanent.
-func (p Plan[S]) prune(rungs []Rung[S], rungOf []int) (func(int) (classify.Verdict, bool), error) {
+	for i := 0; i < n && p.LadderRungs > 0 && !built; i++ {
+		if _, ok := p.Inject(i); ok {
+			build()
+		}
+	}
+	for i := range rungOf {
+		if cycle, ok := p.Inject(i); ok {
+			place(i, rungFor(rungs, p.Ladder.StrictlyBefore, cycle))
+		}
+	}
 	if p.Prune == nil {
-		return nil, nil
+		return rungs, rungOf, replay, nil, nil
 	}
 	sp := p.Profile.NewLane("golden").Begin(obs.PhaseGolden)
-	defer sp.End()
-	return p.Prune(rungs[slices.Min(rungOf)].Sys.Fork())
+	pruned, err := p.Prune(rungs[slices.Min(rungOf)].Sys.Fork())
+	sp.End()
+	if err != nil || pruned == nil {
+		return rungs, rungOf, replay, nil, err
+	}
+	proven = make([]bool, n)
+	seen := make([]uint64, n)
+	deeper := false
+	for i := range proven {
+		var v classify.Verdict
+		if v, seen[i], proven[i] = pruned(i); proven[i] {
+			verdicts[i], seen[i] = v, 0
+		}
+		deeper = deeper || seen[i] > p.Ladder.Lo
+	}
+	if deeper && p.LadderRungs > 0 && !built {
+		build()
+	}
+	for i, cycle := range seen {
+		if r := rungFor(rungs, p.Ladder.StrictlyBefore, cycle); r > rungOf[i] {
+			place(i, r)
+		}
+	}
+	return rungs, rungOf, replay, proven, nil
 }
 
 // Summary is the engine-independent part of a campaign result; both
@@ -388,8 +428,8 @@ func (s *Summary) AVF() float64 { return s.Counts.AVF() }
 // current batch.
 func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 	n, z := p.Budget(), p.Z()
-	rungs, rungOf, replay := p.climb(n)
-	pruned, err := p.prune(rungs, rungOf)
+	verdicts := make([]classify.Verdict, n)
+	rungs, rungOf, replay, proven, err := p.climb(verdicts)
 	if err != nil {
 		return nil, Summary{}, err
 	}
@@ -398,7 +438,6 @@ func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
-	verdicts := make([]classify.Verdict, n)
 	sum := Summary{Z: z, Requested: n}
 	var mu sync.Mutex // guards firstErr and the sum.Forking fold
 	var firstErr error
@@ -427,11 +466,9 @@ func Run[S Scratch[S]](p Plan[S]) ([]classify.Verdict, Summary, error) {
 				}
 			}
 			run := func(i int) (classify.Verdict, error) {
-				if pruned != nil {
-					if v, ok := pruned(i); ok {
-						stats.Pruned++
-						return v, nil
-					}
+				if proven != nil && proven[i] {
+					stats.Pruned++
+					return verdicts[i], nil
 				}
 				r := rungOf[i]
 				if r != scratchRung {

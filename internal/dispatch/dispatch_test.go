@@ -457,8 +457,8 @@ func TestLadderRungForSelection(t *testing.T) {
 }
 
 // TestLadderSkippedWithoutTransients: a plan whose faults are all
-// permanent never walks the ladder, whatever its depth, and reports no
-// rungs.
+// permanent, with no pruning pass to see them, never walks the ladder,
+// whatever its depth, and reports no rungs.
 func TestLadderSkippedWithoutTransients(t *testing.T) {
 	var walks atomic.Int64
 	p := Plan[*fakeScratch]{
@@ -497,12 +497,12 @@ func TestRunPrunedSkipsScratch(t *testing.T) {
 			}
 			return run(s, i, lane)
 		}
-		p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, bool), error) {
-			return func(i int) (classify.Verdict, bool) {
+		p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, uint64, bool), error) {
+			return func(i int) (classify.Verdict, uint64, bool) {
 				if !pruned(i) {
-					return classify.Verdict{}, false
+					return classify.Verdict{}, 0, false
 				}
-				return verdictOf(i), true
+				return verdictOf(i), 0, true
 			}, nil
 		}
 		var calls atomic.Int64
@@ -548,7 +548,7 @@ func TestPruneStartsFromEarliestRung(t *testing.T) {
 			Run: func(*fakeScratch, int, *obs.Lane) (classify.Verdict, error) {
 				return classify.Verdict{}, nil
 			},
-			Prune: func(s *fakeScratch) (func(int) (classify.Verdict, bool), error) {
+			Prune: func(s *fakeScratch) (func(int) (classify.Verdict, uint64, bool), error) {
 				passes.Add(1)
 				if s.rung != c.wantRung {
 					t.Errorf("%s: pass started on rung %d, want %d", c.name, s.rung, c.wantRung)
@@ -566,8 +566,149 @@ func TestPruneStartsFromEarliestRung(t *testing.T) {
 		t.Error("a fault ran after the pruning pass failed")
 		return classify.Verdict{}, nil
 	}
-	p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, bool), error) { return nil, boom }
+	p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, uint64, bool), error) { return nil, boom }
 	if _, _, err := Run(p); !errors.Is(err, boom) {
 		t.Errorf("pass error %v, want %v", err, boom)
+	}
+}
+
+// seenCase is one fault of TestRunForksSeenFaultsDeeper: its injection
+// (none when permanent), what the pruning pass reports for it, and the
+// rung it must fork from under each engine's rule.
+type seenCase struct {
+	name           string
+	inject         uint64
+	transient      bool
+	seen           uint64
+	proven         bool
+	atOrBefore     int
+	strictlyBefore int
+}
+
+// seenCases run on rungs at cycles 100 (rung 0), 200, 300 and 400.
+var seenCases = []seenCase{
+	{"transient seen past the next rung", 150, true, 250, false, 1, 1},
+	{"transient seen at a rung", 250, true, 300, false, 2, 1},
+	{"transient seen before the next rung", 350, true, 360, false, 2, 2},
+	{"transient, seen unknown", 350, true, 0, false, 2, 2},
+	{"transient seen before its own rung", 450, true, 150, false, 3, 3},
+	{"permanent seen at a rung", 0, false, 400, false, 3, 2},
+	{"permanent seen past the last rung", 0, false, 900, false, 3, 3},
+	{"permanent seen at rung 0", 0, false, 100, false, 0, 0},
+	{"permanent, seen unknown", 0, false, 0, false, 0, 0},
+	{"permanent proven", 0, false, 0, true, 0, 0},
+}
+
+// seenPlan runs the fault cases of cs over the ladder l at the given
+// depth, failing the test when a fault runs on another rung than want
+// says or a proven one runs at all.
+func seenPlan(t *testing.T, l Ladder[*fakeScratch], depth int, cs []seenCase, want func(seenCase) int) Plan[*fakeScratch] {
+	return Plan[*fakeScratch]{
+		Sizing: Sizing{Faults: len(cs), Workers: 2, LadderRungs: depth},
+		Ladder: l,
+		Inject: func(i int) (uint64, bool) { return cs[i].inject, cs[i].transient },
+		Run: func(s *fakeScratch, i int, _ *obs.Lane) (classify.Verdict, error) {
+			if cs[i].proven {
+				t.Errorf("%s: proven fault ran", cs[i].name)
+			}
+			if w := want(cs[i]); s.rung != w {
+				t.Errorf("strict %v, depth %d, %s: ran on rung %d, want %d", l.StrictlyBefore, depth, cs[i].name, s.rung, w)
+			}
+			return verdictOf(i), nil
+		},
+		Prune: func(*fakeScratch) (func(int) (classify.Verdict, uint64, bool), error) {
+			return func(i int) (classify.Verdict, uint64, bool) {
+				if cs[i].proven {
+					return verdictOf(i), 0, true
+				}
+				return classify.Verdict{}, cs[i].seen, false
+			}, nil
+		},
+	}
+}
+
+// TestRunForksSeenFaultsDeeper: a fault the pruning pass saw forks from
+// the latest rung the ladder's rule allows at the cycle it was seen,
+// never from a shallower rung than its injection's, and the rung hits
+// and replayed cycles follow from the rung it ran on; without a ladder
+// every fault stays on rung 0.
+func TestRunForksSeenFaultsDeeper(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		want := func(c seenCase) int {
+			if strict {
+				return c.strictlyBefore
+			}
+			return c.atOrBefore
+		}
+		for _, depth := range []int{3, 0} {
+			l := fakeLadder(100, 500, 1, 1<<40, strict, nil)
+			rungs := l.Rungs(depth)
+			wantRung := func(c seenCase) int { return min(want(c), len(rungs)-1) }
+			var hits, replayed uint64
+			for _, c := range seenCases {
+				r := wantRung(c)
+				if c.proven {
+					continue
+				}
+				if r > 0 {
+					hits++
+				}
+				if c.transient && c.inject > rungs[r].Cycle {
+					replayed += c.inject - rungs[r].Cycle
+				}
+			}
+			verdicts, sum, err := Run(seenPlan(t, l, depth, seenCases, wantRung))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range verdicts {
+				if v != verdictOf(i) {
+					t.Errorf("strict %v, depth %d: verdict %d = %+v, want %+v", strict, depth, i, v, verdictOf(i))
+				}
+			}
+			if f := sum.Forking; f.Rungs != depth || f.Pruned != 1 || f.RungHits != hits || f.ReplayedCycles != replayed {
+				t.Errorf("strict %v, depth %d: accounting %+v, want %d rungs, 1 pruned, %d hits, %d replayed",
+					strict, depth, f, depth, hits, replayed)
+			}
+		}
+	}
+}
+
+// TestRunBuildsLadderForSeenPermanents: a plan of permanent faults only
+// walks the ladder once the pruning pass saw some fault past rung 0,
+// and then runs each fault on the rung that cycle allows.
+func TestRunBuildsLadderForSeenPermanents(t *testing.T) {
+	var permanent []seenCase
+	for _, c := range seenCases {
+		if !c.transient {
+			permanent = append(permanent, c)
+		}
+	}
+	near := []seenCase{permanent[2], permanent[3], permanent[4]} // seen at rung 0, unknown, proven
+	for _, c := range []struct {
+		name  string
+		cases []seenCase
+		depth int
+		walks int64
+	}{
+		{"none seen past rung 0", near, 3, 0},
+		{"some seen past rung 0", permanent, 3, 1},
+		{"no ladder", permanent, 0, 0},
+	} {
+		var walks atomic.Int64
+		l := fakeLadder(100, 500, 1, 1<<40, true, &walks)
+		p := seenPlan(t, l, c.depth, c.cases, func(sc seenCase) int {
+			if c.depth == 0 {
+				return 0
+			}
+			return sc.strictlyBefore
+		})
+		_, sum, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walks.Load() != c.walks || sum.Forking.Rungs != int(c.walks)*c.depth {
+			t.Errorf("%s: %d walks, %d rungs; want %d walks", c.name, walks.Load(), sum.Forking.Rungs, c.walks)
+		}
 	}
 }

@@ -229,8 +229,13 @@ type Counters struct {
 	// short of running (including journal-restored cells).
 	FaultsSaved int64
 	EarlyStops  int64
-	Forks       uint64
-	ForkReuses  uint64
+	// Forks and ForkReuses count the faulty runs that forked a scratch
+	// system or reset one; Pruned counts the faults exact pruning decided
+	// without a run. Over the cells executed, the three add up to their
+	// faults.
+	Forks      uint64
+	ForkReuses uint64
+	Pruned     uint64
 	// RungHits counts faulty runs dispatched from a mid-window checkpoint
 	// rung; ReplayedCycles totals the pre-injection cycles replayed between
 	// fork points and injection cycles (the cost the ladder shrinks).
@@ -524,6 +529,7 @@ func Run(spec Spec) (_ *Result, err error) {
 				fc := rep.Forking
 				res.Counters.Forks += fc.Forks
 				res.Counters.ForkReuses += fc.ReuseHits
+				res.Counters.Pruned += fc.Pruned
 				res.Counters.RungHits += fc.RungHits
 				res.Counters.ReplayedCycles += fc.ReplayedCycles
 				if spec.Metrics != nil {

@@ -271,6 +271,33 @@ func TestSweepAccelDifferential(t *testing.T) {
 	}
 }
 
+// TestSweepCountersAccountEveryFault: over an accelerator grid where exact
+// pruning decides many faults, every fault of every cell is a fork, a
+// reuse or a pruned fault, and Result.Counters folds all three.
+func TestSweepCountersAccountEveryFault(t *testing.T) {
+	res, err := sweep.Run(sweep.Spec{
+		Designs:     []string{"gemm", "stencil2d"},
+		Models:      []string{"transient", "stuck-at-1"},
+		Faults:      16,
+		Seed:        5,
+		LadderRungs: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Counters
+	var pruned uint64
+	for _, cell := range res.Cells {
+		pruned += cell.Forking.Pruned
+	}
+	if c.Pruned == 0 || c.Pruned != pruned {
+		t.Errorf("counters fold %d pruned faults, cells %d; want the same, above 0", c.Pruned, pruned)
+	}
+	if got := c.Forks + c.ForkReuses + c.Pruned; got != uint64(c.FaultsDone) {
+		t.Errorf("forks %d + reuses %d + pruned %d = %d, want %d faults done", c.Forks, c.ForkReuses, c.Pruned, got, c.FaultsDone)
+	}
+}
+
 // TestSweepResume kills a sweep after N cells (simulated by truncating
 // the journal) and verifies the rerun skips exactly the completed cells,
 // re-executes the rest, and leaves a complete journal.

@@ -355,9 +355,10 @@ type AccelOptions struct {
 	Workers int
 	// LadderRungs snapshots the fault-free task at this many evenly spaced
 	// cycles inside the injection window and forks each transient run from
-	// the nearest rung strictly before its injection cycle. 0 keeps the
-	// single pristine checkpoint; results are bit-identical for every
-	// value.
+	// the nearest rung strictly before its injection cycle, and each fault
+	// exact pruning saw first read later, stuck-ats included, from the
+	// nearest rung strictly before that read. 0 keeps the single pristine
+	// checkpoint; results are bit-identical for every value.
 	LadderRungs int
 	// Metrics, when non-nil, receives live verdict-mix and fork counters
 	// as the campaign runs (the registry behind the CLI's -debug-addr

@@ -9,13 +9,16 @@
 #   2. race jobs: the shared fault-dispatch kernel and the CPU and
 #      accelerator campaigns' parallel paths under the race detector
 #      (including traced campaigns, ForkStats folding, concurrent
-#      pruning passes over one shared golden and the checkpoint-ladder
+#      pruning passes over one shared golden, the deeper rungs the
+#      kernel forks pass-seen faults from and the checkpoint-ladder
 #      differential suite)
 #   3. sweep race job + differential guard: the orchestrator's two-level
 #      parallelism, golden-cache reuse and resume must be race-free and
 #      bit-identical to standalone campaigns; every fault exact pruning
 #      skips (CPU stuck-ats, accelerator stuck-ats and transients) must
-#      classify as its full run, and every storage port must reach the
+#      classify as its full run, every accelerator fault forked from the
+#      rung before its first golden read must classify as its rung-0 run
+#      on both edges of that rung, and every storage port must reach the
 #      golden observers; adaptive confidence-targeted
 #      sizing must be schedule-independent and a bit-identical prefix of
 #      the fixed-budget run, and must demonstrably save >= 30% of the
@@ -80,8 +83,9 @@ rm -rf "$vetdir"
 echo "== race: fault-dispatch kernel =="
 go test -race ./internal/dispatch
 # One golden's ladder memo is shared by every concurrent campaign over it:
-# each (depth, window end) ladder must be walked once, race-free.
-go test -race -count=3 -run '^TestLadder' ./internal/dispatch
+# each (depth, window end) ladder must be walked once, race-free. Faults
+# the pruning pass saw move to deeper rungs across the worker pool.
+go test -race -count=3 -run '^TestLadder|^TestRunForksSeenFaultsDeeper$|^TestRunBuildsLadderForSeenPermanents$' ./internal/dispatch
 
 echo "== race: parallel campaign determinism =="
 go test -race -run 'TestCampaignWorkerCountInvariance|TestForkCloneEquivalence' ./internal/campaign
@@ -177,15 +181,17 @@ for t in TestSweepDifferential TestSweepAccelDifferential TestSweepResume TestCP
 done
 # Exact pruning: every pruned fault, run the full way, must get the
 # identical verdict (CPU stuck-ats; accelerator stuck-ats and transients,
-# including flips that land in the tick of a read or overwrite), and
-# every read, overwrite and enforcement port of the cache, register
-# file, load/store queues and accelerator banks must reach the read
-# summary.
+# including flips that land in the tick of a read or overwrite); every
+# accelerator fault forked from the rung before its first golden read
+# must get its rung-0 verdict, with the rung in the read's tick or the
+# one before; and every read, overwrite and enforcement port of the
+# cache, register file, load/store queues and accelerator banks must
+# reach the read summary.
 go test -run '^TestStuckAtPruningDifferential$' -v ./internal/campaign | grep -q -- '--- PASS: TestStuckAtPruningDifferential' || {
 	echo "verify: differential guard: TestStuckAtPruningDifferential did not run/pass" >&2
 	exit 1
 }
-for t in TestAccelPruningDifferential TestPruningSameTickOrdering; do
+for t in TestAccelPruningDifferential TestPruningSameTickOrdering TestAccelDeepForkRungEdges; do
 	go test -run "^${t}\$" -v ./internal/accel | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: differential guard: ${t} did not run/pass" >&2
 		exit 1
