@@ -272,3 +272,84 @@ func TestHVFLadderDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// pinnedCPUControlDigests are sweep.DigestCPURecords values (and golden
+// cycle counts) of the ROB and IQ cells, recorded before the core's issue
+// stage stopped reading the reorder buffer for every waiting entry. Faults
+// in these two control structures reach the scheduler's stale-entry paths
+// (a flipped IQ tag, a retired entry still in the IQ, a lost done latch),
+// which TestCPUDigestsPinned's storage targets never exercise. The
+// "/bits2" cells place two flips in one mask, so two tags of one entry or
+// of neighbouring entries can change together. Never regenerate these to
+// make a failure go away.
+var pinnedCPUControlDigests = map[string]struct {
+	digest string
+	golden uint64
+}{
+	"cpu/arm/sha/rob/transient":        {"c50caa9cfe20a109", 5446},
+	"cpu/arm/sha/rob/stuck-at-1":       {"249df3b7f8cb0c9e", 5446},
+	"cpu/arm/sha/iq/transient":         {"c84bb89871717501", 5446},
+	"cpu/arm/sha/iq/stuck-at-1":        {"720b822f32c1968b", 5446},
+	"cpu/x86/sha/rob/transient":        {"5477e601c6b0f23b", 9339},
+	"cpu/x86/sha/rob/stuck-at-1":       {"3d29eae9c7ebe40a", 9339},
+	"cpu/x86/sha/iq/transient":         {"0ed58fb6fdc0d299", 9339},
+	"cpu/x86/sha/iq/stuck-at-1":        {"9834707f7d2ddb95", 9339},
+	"cpu/riscv/sha/rob/transient":      {"fb6eddd1c34937b5", 6240},
+	"cpu/riscv/sha/rob/stuck-at-1":     {"7144daa5bbbce5ea", 6240},
+	"cpu/riscv/sha/iq/transient":       {"5dd20fb41d1d646a", 6240},
+	"cpu/riscv/sha/iq/stuck-at-1":      {"8ffeccb55a506a09", 6240},
+	"cpu/arm/sha/iq/transient/bits2":   {"ecfaf6c2cba63a1f", 5446},
+	"cpu/x86/sha/iq/transient/bits2":   {"2d51748e459f432e", 9339},
+	"cpu/riscv/sha/iq/transient/bits2": {"bf8bf57865d26516", 6240},
+}
+
+// TestCPUControlDigestsPinned re-runs 3 ISAs × sha × {rob, iq} ×
+// {transient, stuck-at-1}, fast preset, 32 live-entry faults per cell,
+// plus one two-bit iq transient cell per ISA, and demands every cell's
+// digest and golden cycle count equal the recorded values.
+func TestCPUControlDigestsPinned(t *testing.T) {
+	specs := []struct {
+		suffix string
+		spec   sweep.Spec
+	}{
+		{"", sweep.Spec{
+			Targets: []string{"rob", "iq"},
+			Models:  []string{"transient", "stuck-at-1"},
+		}},
+		{"/bits2", sweep.Spec{
+			Targets:      []string{"iq"},
+			Models:       []string{"transient"},
+			BitsPerFault: 2,
+		}},
+	}
+	got := 0
+	for _, s := range specs {
+		spec := s.spec
+		spec.ISAs = []string{"arm", "x86", "riscv"}
+		spec.Workloads = []string{"sha"}
+		spec.Faults = 32
+		spec.Seed = 20240302
+		spec.ValidOnly = true
+		spec.Preset = "fast"
+		res, err := sweep.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Cells {
+			got++
+			key := c.Key + s.suffix
+			want, ok := pinnedCPUControlDigests[key]
+			if !ok {
+				t.Errorf("%s: no pinned value (got digest %s, golden %d cycles)", key, c.Digest, c.GoldenCycles)
+				continue
+			}
+			if c.Digest != want.digest || c.GoldenCycles != want.golden {
+				t.Errorf("%s: digest %s golden %d cycles, pinned %s / %d",
+					key, c.Digest, c.GoldenCycles, want.digest, want.golden)
+			}
+		}
+	}
+	if got != len(pinnedCPUControlDigests) {
+		t.Errorf("grids have %d cells, %d pinned", got, len(pinnedCPUControlDigests))
+	}
+}
