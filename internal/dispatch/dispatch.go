@@ -364,7 +364,7 @@ func (p Plan[S]) climb(verdicts []classify.Verdict) (rungs []Rung[S], rungOf []i
 			place(i, rungFor(rungs, p.Ladder.StrictlyBefore, cycle))
 		}
 	}
-	if p.Prune == nil {
+	if p.Prune == nil || n == 0 {
 		return rungs, rungOf, replay, nil, nil
 	}
 	sp := p.Profile.NewLane("golden").Begin(obs.PhaseGolden)

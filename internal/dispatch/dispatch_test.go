@@ -524,6 +524,24 @@ func TestRunPrunedSkipsScratch(t *testing.T) {
 	}
 }
 
+// TestRunEmptyPlanWithPrune: a plan without faults returns at once, even
+// with a pruning pass set; the pass has no earliest rung to start from
+// and is not run.
+func TestRunEmptyPlanWithPrune(t *testing.T) {
+	p := testPlan(t, 0, 4, 2)
+	p.Prune = func(*fakeScratch) (func(int) (classify.Verdict, uint64, bool), error) {
+		t.Error("pruning pass ran for an empty plan")
+		return nil, nil
+	}
+	verdicts, sum, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(verdicts) != 0 || sum.Forking.Pruned != 0 || sum.Forking.Forks != 0 {
+		t.Errorf("empty plan: %d verdicts, forking %+v", len(verdicts), sum.Forking)
+	}
+}
+
 // TestPruneStartsFromEarliestRung: the pruning pass runs once, on a fork
 // of the rung the earliest injection forks from, or of rung 0 once any
 // fault is permanent; its error aborts the campaign before any fault runs.
