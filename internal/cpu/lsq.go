@@ -78,8 +78,15 @@ func (q *LSQ) Count() int { return q.count }
 // Full reports whether no entry can be allocated.
 func (q *LSQ) Full() bool { return q.count == len(q.entries) }
 
-// slot maps queue position i (0 = oldest) to a physical slot index.
-func (q *LSQ) slot(i int) int { return (q.head + i) % len(q.entries) }
+// slot maps queue position i (0 = oldest, i < Cap) to a physical slot
+// index.
+func (q *LSQ) slot(i int) int {
+	s := q.head + i
+	if s >= len(q.entries) {
+		s -= len(q.entries)
+	}
+	return s
+}
 
 // at returns the entry at queue position i (0 = oldest).
 func (q *LSQ) at(i int) *lsqEntry { return &q.entries[q.slot(i)] }
@@ -114,7 +121,9 @@ func (q *LSQ) popHead() {
 		}
 	}
 	q.entries[s].valid = false
-	q.head = (q.head + 1) % len(q.entries)
+	if q.head++; q.head == len(q.entries) {
+		q.head = 0
+	}
 	q.count--
 }
 
